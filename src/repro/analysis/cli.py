@@ -6,7 +6,8 @@ Exit codes are severity-aware:
   ratchet (if requested) holds;
 * ``1`` — unbaselined ERROR findings, stale baseline entries, a
   ratchet violation, or (with ``--strict``) unbaselined warnings;
-* ``2`` — usage or baseline error;
+* ``2`` — usage or baseline error, or no Python file to analyze (a
+  gate that scanned nothing must not pass);
 * ``3`` — unbaselined WARNING findings only (without ``--strict``) —
   distinguishable from hard failures so CI can choose to tolerate it.
 """
@@ -190,6 +191,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if report.files_scanned == 0:
+        print(
+            "error: no Python files to analyze under "
+            + ", ".join(args.paths)
+            + " (check the paths and --exclude globs)",
+            file=sys.stderr,
+        )
         return 2
 
     ratchet_failure = None

@@ -6,6 +6,9 @@ system fails and where PR 5's chaos suite injects faults:
 ========================  =======================  ====================
 site class                trigger (this pass)      required hook
 ========================  =======================  ====================
+work decomposition        a function under         ``check_morsel``
+                          ``exec/`` that calls
+                          ``plan_ranges``
 worker loop               a loop that pulls from   ``check_morsel``
                           a morsel dispatcher
                           (``next_batch`` /
@@ -22,19 +25,19 @@ transfer path             an ``ingest_bandwidth``  ``bandwidth_factor``
                           under ``transfer/``
 ========================  =======================  ====================
 
-A new executor loop, allocator, or transfer method that forgets its
-hook silently escapes chaos testing — every fault scenario in
+A new executor, allocator, or transfer method that forgets its hook
+silently escapes chaos testing — every fault scenario in
 ``faults/scenarios.py`` would pass trivially against it.  The check is
-interprocedural: the hook may live in a helper (``_worker_loop`` →
-``_attempt`` → ``plan.check_morsel``), so a site is covered when the
-hook name appears anywhere in the function's transitive call closure.
+interprocedural: the hook may live in a helper (``MorselExecutor.run``
+→ ``plan_assignment`` → ``_take_receipt`` → ``fault_plan.check_morsel``), so
+a site is covered when the hook name appears anywhere in the function's
+transitive call closure.  An executor that cuts its input into morsels
+but hands them out without the shared recovery planner is therefore a
+finding.
 
-Two misuse rules ride along: raw ``ingest_bandwidth`` calls outside
+One misuse rule rides along: raw ``ingest_bandwidth`` calls outside
 ``transfer/`` bypass the ``bandwidth_factor`` choke point (call
-``effective_ingest_bandwidth``), and a module defining fault-hook
-*sites* under ``exec/`` must consult ``active_plan`` — the
-zero-overhead switch — rather than importing plan state some other
-way.
+``effective_ingest_bandwidth``).
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ from repro.analysis.project import FunctionInfo, ModuleInfo, ProjectContext
 #: dispatcher-pull call names that mark a worker loop.
 _DISPATCH_NAMES = frozenset({"next_batch", "next_morsel"})
 
+#: the call that marks a function decomposing work into morsels.
+_DECOMPOSE_NAME = "plan_ranges"
+
 #: names whose presence in a closure satisfies the morsel site class.
 _MORSEL_HOOK = "check_morsel"
 _ALLOC_HOOK = "check_alloc"
@@ -57,7 +63,8 @@ _LINK_HOOK = "bandwidth_factor"
 class FaultHookCoveragePass(ProjectPass):
     name = "fault-hook-coverage"
     description = (
-        "worker loops, allocation sites, and transfer paths must call "
+        "work decomposition, worker loops, allocation sites, and "
+        "transfer paths must call "
         "their repro.faults hook (check_morsel / check_alloc / "
         "bandwidth_factor) so chaos testing covers them"
     )
@@ -80,6 +87,7 @@ class FaultHookCoveragePass(ProjectPass):
         closure_names = project.called_names(fn.qualname)
         direct_names = frozenset(call.name for call in fn.calls)
         if "exec/" in info.path:
+            yield from self._check_decomposition(info, fn, closure_names)
             yield from self._check_worker_loop(
                 project, info, fn, closure_names
             )
@@ -89,6 +97,32 @@ class FaultHookCoveragePass(ProjectPass):
             yield from self._check_transfer_path(info, fn, direct_names)
         else:
             yield from self._check_raw_bandwidth_call(info, fn)
+
+    # -- work decomposition ------------------------------------------------
+    def _check_decomposition(
+        self,
+        info: ModuleInfo,
+        fn: FunctionInfo,
+        closure_names: FrozenSet[str],
+    ) -> Iterator[Finding]:
+        if not any(call.name == _DECOMPOSE_NAME for call in fn.calls):
+            return
+        if _MORSEL_HOOK in closure_names:
+            return
+        yield self.finding_at(
+            path=info.path,
+            line=fn.lineno,
+            column=1,
+            message=(
+                f"`{_short(fn.qualname)}` decomposes work into morsels "
+                f"(`{_DECOMPOSE_NAME}`) but never reaches a "
+                f"`{_MORSEL_HOOK}` fault hook — assign the ranges "
+                "through repro.faults.recovery.plan_assignment so crashes "
+                "and transient faults can be injected (repro.faults site "
+                "class: work decomposition)"
+            ),
+            context=info.ctx.line_text(fn.lineno),
+        )
 
     # -- worker loops ------------------------------------------------------
     def _check_worker_loop(

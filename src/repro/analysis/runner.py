@@ -4,7 +4,8 @@ Orchestration has three layers:
 
 * **discovery** — walk the given paths for ``.py`` files, pruning
   cache/VCS directories, ``*scratch*`` output directories, and
-  ``BENCH_*`` artifacts, plus any ``--exclude`` globs;
+  ``BENCH_*`` artifacts, plus any ``--exclude`` globs (all matched
+  relative to the scan root);
 * **per-module passes** — parse each file once into a
   :class:`~repro.analysis.base.ModuleContext` and run the classic
   single-file passes;
@@ -111,10 +112,12 @@ def iter_python_files(
 ) -> Iterator[str]:
     """Yield .py files under the given files/directories, sorted.
 
-    ``exclude`` globs match the full posix path, the basename, or any
-    path suffix (``--exclude 'fixtures/*'`` prunes every fixtures
-    directory).  Explicitly named files bypass the default scratch
-    excludes but still honor user globs.
+    Under a directory, ``exclude`` globs match the path *relative to
+    that scan root* — its full posix form, its basename, or any suffix
+    (``--exclude 'fixtures/*'`` prunes every fixtures directory) — so
+    where the tree itself lives (say, under a ``scratch`` directory)
+    never excludes it.  Explicitly named files bypass the default
+    scratch excludes but still honor user globs.
     """
     patterns = list(exclude)
     default_patterns = patterns + list(_DEFAULT_EXCLUDES)
@@ -126,20 +129,21 @@ def iter_python_files(
         if not os.path.isdir(path):
             raise FileNotFoundError(f"no such file or directory: {path}")
         for root, dirs, files in os.walk(path):
+            rel_root = os.path.relpath(root, path)
+            rel_root = "" if rel_root == "." else _posix(rel_root) + "/"
             dirs[:] = sorted(
                 d
                 for d in dirs
                 if d not in _SKIP_DIRS
                 and not d.startswith(".")
-                and not _excluded(_posix(os.path.join(root, d)), default_patterns)
+                and not _excluded(rel_root + d, default_patterns)
             )
             for name in sorted(files):
                 if not name.endswith(".py"):
                     continue
-                full = os.path.join(root, name)
-                if _excluded(_posix(full), default_patterns):
+                if _excluded(rel_root + name, default_patterns):
                     continue
-                yield full
+                yield os.path.join(root, name)
 
 
 def _syntax_error_finding(path: str, exc: SyntaxError) -> Finding:

@@ -6,11 +6,12 @@ cursor."  The dispatcher hands out ranges of the probe (or build)
 relation; GPUs request *batches* of morsels to amortize kernel-launch
 latency over more data.
 
-The dispatcher is thread-safe: ``repro.exec`` drives it from real
-concurrent workers, so the cursor advance, the dispatch log, and the
-metric emission happen under one lock — N workers hammering
-:meth:`next_batch` receive disjoint ranges that exactly cover
-``[0, total_tuples)``.
+The dispatcher is thread-safe: the cursor advance, the dispatch log,
+and the metric emission happen under one lock, so N concurrent workers
+hammering :meth:`next_batch` receive disjoint ranges that exactly cover
+``[0, total_tuples)``.  (The functional ``repro.exec`` backends assign
+morsels statically instead, so fault recovery can be planned up front;
+see :func:`repro.faults.recovery.plan_assignment`.)
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 """Morsel-parallel execution backend (``repro.exec``).
 
 Runs the functional layer — hash-table builds, probes, predicate
-cascades — across a pool of worker threads pulling morsels from the
-thread-safe :class:`~repro.core.scheduler.morsel.MorselDispatcher`, or
-across forked worker processes (:class:`~repro.exec.process.ProcessExecutor`)
-writing into ``multiprocessing.shared_memory`` buffers, with results
+cascades — across a pool of worker threads
+(:class:`~repro.exec.pool.MorselExecutor`) or forked worker processes
+(:class:`~repro.exec.process.ProcessExecutor`) writing into
+``multiprocessing.shared_memory`` buffers.  Both execute one static,
+fault-planned morsel assignment
+(:func:`repro.faults.recovery.plan_assignment`) under one contract,
+``run(total, body(worker, ranges)) -> {worker: summary}``, with results
 merged deterministically so parallel output is bit-identical to serial
 and the measured TableStats (hence every priced manifest) are the same
 at any worker count.
@@ -22,10 +25,8 @@ from repro.exec.pool import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
     EXEC_BACKENDS,
-    AbortedError,
     MorselExecutor,
     MorselFailedError,
-    MorselOutcome,
     check_backend,
     make_executor,
 )
@@ -33,13 +34,11 @@ from repro.exec.process import ProcessExecutor, fork_available
 from repro.exec.shm import ShmArena, table_storage_in_shm
 
 __all__ = [
-    "AbortedError",
     "DEFAULT_EXEC_MORSEL_TUPLES",
     "DEFAULT_WORKERS",
     "EXEC_BACKENDS",
     "MorselExecutor",
     "MorselFailedError",
-    "MorselOutcome",
     "ProcessExecutor",
     "ShmArena",
     "check_backend",

@@ -2,11 +2,20 @@
 
 These helpers run a hash-table build, a probe, or a predicate cascade
 either serially (``executor is None`` — the exact code path the
-operators always had) or across a :class:`~repro.exec.pool.MorselExecutor`.
-The contract, enforced by the equivalence tests, is that the two paths
-produce **bit-identical outputs and identical TableStats**, so the
-``backend`` knob changes wall-clock behaviour only — never a result,
-a priced manifest, or a metric snapshot.
+operators always had) or through an executor's
+``run(total, body(worker, ranges))`` contract (see
+:mod:`repro.exec.pool`).  Each kernel has one parallel implementation
+for both backends: a body writes range-disjoint slices of the
+executor's :meth:`~repro.exec.pool.MorselExecutor.output_arrays` or
+mutates the table inside its
+:meth:`~repro.exec.pool.MorselExecutor.table_storage`, and returns a
+picklable stats summary that merges in worker-name order.  Threads keep
+plain numpy arrays; forked processes get shared memory and read inputs
+through copy-on-write pages.  The contract, enforced by the equivalence
+tests, is that every path produces **bit-identical outputs and
+identical TableStats**, so the ``backend`` knob changes wall-clock
+behaviour only — never a result, a priced manifest, or a metric
+snapshot.
 
 Build decomposition is scheme-aware, because not every table build is
 morsel-divisible:
@@ -18,9 +27,7 @@ morsel-divisible:
   duplicate check cannot see (the same key arriving in two concurrent
   morsels).
 * **chaining** — head-pointer prepends commute per bucket but the chain
-  *layout* depends on application order, so morsels are applied through
-  the executor's sequencer in morsel order; the resulting table is
-  bit-identical to a serial morsel-order build.
+  *layout* depends on application order, so the build runs serially.
 * **open addressing** — the numpy CAS emulation resolves within-round
   races per *batch*; splitting the batch changes which keys race and
   therefore the final slot layout (and downstream probe counts).  The
@@ -33,39 +40,18 @@ morsel-divisible:
   scheme, including the two that are not morsel-divisible unsharded.
 
 Probes and predicate masks are read-only and element-independent, so
-they decompose for every scheme: each morsel produces a private output
-slice, merged by stable morsel-order concatenation.
-
-The ``processes`` backend (:class:`~repro.exec.process.ProcessExecutor`)
-runs the same decompositions in forked children: inputs arrive via
-fork's copy-on-write pages, mutated table storage and output buffers
-live in ``multiprocessing.shared_memory`` (:mod:`repro.exec.shm`), and
-per-worker ``TableStats`` come back as picklable summaries that merge
-in worker-name order — the exact guarantees the threads backend makes.
-Unsharded chaining and open-addressing builds are not process-divisible
-(same reasons as above), so they run serially in the parent.
+they decompose for every scheme: each range produces a private output
+slice, so the merged output is independent of completion order.
 """
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.scheduler.morsel import WorkRange
 from repro.exec.pool import MorselExecutor
-from repro.exec.process import ProcessExecutor
-from repro.exec.shm import ShmArena, table_storage_in_shm
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.hashtable.base import HashTableBase
@@ -77,38 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 #: a predicate-mask evaluator over a half-open row range.
 MaskEvaluator = Callable[[int, int], np.ndarray]
-
-#: either executor flavour (or None for the serial fast path).
-Executor = Union[MorselExecutor, ProcessExecutor]
-
-
-def _worker_views(table: HashTableBase) -> Dict[str, HashTableBase]:
-    """Lazily-populated per-worker stats views (created under the GIL;
-    dict item assignment is atomic, and each worker only touches its own
-    key)."""
-    return {}
-
-
-def _view_for(
-    views: Dict[str, HashTableBase], table: HashTableBase, worker: str
-) -> HashTableBase:
-    view = views.get(worker)
-    if view is None:
-        view = table.stats_view()
-        views[worker] = view
-    return view
-
-
-def _absorb_all(
-    table: HashTableBase, views: Dict[str, HashTableBase]
-) -> None:
-    """Fold per-worker counters back, in worker-name order.
-
-    The merge is a commutative integer sum, so any order yields the
-    serial counts; sorting just makes the absorption itself
-    deterministic."""
-    for worker in sorted(views):
-        table.absorb_view(views[worker])
 
 
 def _view_summary(view: HashTableBase) -> Tuple[str, Any]:
@@ -122,19 +76,25 @@ def _view_summary(view: HashTableBase) -> Tuple[str, Any]:
     return ("flat", (view.stats.as_tuple(), view.size))
 
 
-def _absorb_summary(table: HashTableBase, payload: Tuple[str, Any]) -> None:
-    """Fold a worker summary back (shard-granular for sharded tables)."""
+def _absorb_summaries(table: HashTableBase, summaries: Dict[str, Any]) -> None:
+    """Fold worker summaries back, in worker-name order (shard-granular
+    for sharded tables).
+
+    The merge is a commutative integer sum, so any order yields the
+    serial counts; sorting just makes the absorption itself
+    deterministic."""
     from repro.core.hashtable.base import TableStats
 
-    kind, data = payload
-    if kind == "sharded":
-        for shard, (stats_tuple, size) in zip(table.shards, data):
-            shard.stats.merge(TableStats(*stats_tuple))
-            shard.size += size
-    else:
-        stats_tuple, size = data
-        table.stats.merge(TableStats(*stats_tuple))
-        table.size += size
+    for worker in sorted(summaries):
+        kind, data = summaries[worker]
+        if kind == "sharded":
+            for shard, (stats_tuple, size) in zip(table.shards, data):
+                shard.stats.merge(TableStats(*stats_tuple))
+                shard.size += size
+        else:
+            stats_tuple, size = data
+            table.stats.merge(TableStats(*stats_tuple))
+            table.size += size
 
 
 def _audit_perfect_occupancy(table: HashTableBase) -> None:
@@ -156,81 +116,48 @@ def _build_sharded(
     table: HashTableBase,
     keys: np.ndarray,
     values: np.ndarray,
-    executor: Executor,
+    executor: MorselExecutor,
 ) -> None:
     """Contention-free sharded build: workers own whole shards.
 
-    The work unit dispatched through the executor is a *shard index*
+    The work unit assigned through the executor is a *shard index*
     (morsel size 1), so crash recovery re-dispatches whole shards —
     safe in any order because shards share no storage.  The partition
     is computed up front (a pure function of the keys), making the
     per-shard sub-batches identical to the serial
     ``ShardedHashTable.insert_batch`` decomposition.
     """
+    from repro.core.hashtable.base import TableStats
+
     parts = table.partition_batch(keys)
 
-    if isinstance(executor, ProcessExecutor):
-
-        def body(worker: str, ranges) -> List[Tuple[int, tuple, int]]:
-            out = []
-            for work in ranges:
-                for sid in range(work.start, work.end):
-                    index = parts[sid]
-                    table.insert_shard(sid, keys[index], values[index])
-                    shard = table.shards[sid]
-                    out.append((sid, shard.stats.as_tuple(), shard.size))
-            return out
-
-        from repro.core.hashtable.base import TableStats
-
-        with table_storage_in_shm(table):
-            summaries = executor.run(table.n_shards, body, morsel_tuples=1)
-            # Each shard is built by exactly one child; its summary
-            # carries the shard's absolute post-build counters.
-            for worker in sorted(summaries):
-                for sid, stats_tuple, size in summaries[worker]:
-                    table.shards[sid].stats = TableStats(*stats_tuple)
-                    table.shards[sid].size = size
-        return
-
-    def build_shards(work: WorkRange, worker: str) -> None:
-        for sid in range(work.start, work.end):
-            index = parts[sid]
-            table.insert_shard(sid, keys[index], values[index])
-
-    executor.run(table.n_shards, build_shards, morsel_tuples=1)
-
-
-def _process_build_perfect(
-    table: HashTableBase,
-    keys: np.ndarray,
-    values: np.ndarray,
-    executor: ProcessExecutor,
-) -> None:
-    """Slot-disjoint parallel build in forked children via shared memory."""
-
-    def body(worker: str, ranges) -> Tuple[str, Any]:
-        view = table.stats_view()
+    def body(worker: str, ranges: List[WorkRange]) -> List[Tuple[int, tuple, int]]:
+        out = []
         for work in ranges:
-            view.insert_batch(
-                keys[work.start : work.end], values[work.start : work.end]
-            )
-        return _view_summary(view)
+            for sid in range(work.start, work.end):
+                index = parts[sid]
+                table.insert_shard(sid, keys[index], values[index])
+                shard = table.shards[sid]
+                out.append((sid, shard.stats.as_tuple(), shard.size))
+        return out
 
-    with table_storage_in_shm(table):
-        summaries = executor.run(len(keys), body)
-        for worker in sorted(summaries):
-            _absorb_summary(table, summaries[worker])
+    with executor.table_storage(table):
+        summaries = executor.run(table.n_shards, body, morsel_tuples=1)
+    # Each shard is built by exactly one worker; its summary carries
+    # the shard's absolute post-build counters.
+    for worker in sorted(summaries):
+        for sid, stats_tuple, size in summaries[worker]:
+            table.shards[sid].stats = TableStats(*stats_tuple)
+            table.shards[sid].size = size
 
 
 def execute_build(
     table: HashTableBase,
     keys: np.ndarray,
     values: np.ndarray,
-    executor: Optional[Executor] = None,
+    executor: Optional[MorselExecutor] = None,
 ) -> None:
     """Populate ``table`` with (keys, values); scheme-aware decomposition."""
-    from repro.core.hashtable.chaining import ChainingHashTable
     from repro.core.hashtable.perfect import PerfectHashTable
     from repro.core.hashtable.sharded import ShardedHashTable
 
@@ -243,59 +170,49 @@ def execute_build(
             for shard in table.shards:
                 _audit_perfect_occupancy(shard)
         return
-    if isinstance(executor, ProcessExecutor):
-        if isinstance(table, PerfectHashTable):
-            _process_build_perfect(table, keys, values, executor)
-            _audit_perfect_occupancy(table)
-            return
-        # Unsharded chaining (order-dependent layout) and open
+    if not isinstance(table, PerfectHashTable):
+        # Unsharded chaining (order-dependent chain layout) and open
         # addressing (batch-scoped race resolution) are not
-        # process-divisible; the parent builds serially.  Shard the
-        # table to parallelize these schemes across processes.
+        # morsel-divisible; build serially.  Shard the table to
+        # parallelize these schemes.
         table.insert_batch(keys, values)
         return
-    if isinstance(table, PerfectHashTable):
-        views = _worker_views(table)
 
-        def build_morsel(work: WorkRange, worker: str) -> None:
-            view = _view_for(views, table, worker)
-            view.insert_batch(keys[work.start : work.end],
-                              values[work.start : work.end])
+    def body(worker: str, ranges: List[WorkRange]) -> Tuple[str, Any]:
+        view = table.stats_view()
+        for work in ranges:
+            view.insert_batch(
+                keys[work.start : work.end], values[work.start : work.end]
+            )
+        return _view_summary(view)
 
-        executor.run(len(keys), build_morsel)
-        _absorb_all(table, views)
-        _audit_perfect_occupancy(table)
-        return
-    if isinstance(table, ChainingHashTable):
-        # Chain layout follows application order: sequence the morsels.
-        def build_ordered(work: WorkRange, worker: str) -> None:
-            table.insert_batch(keys[work.start : work.end],
-                               values[work.start : work.end])
-
-        executor.run(len(keys), build_ordered, ordered=True)
-        return
-    # Open addressing: batch-scoped race resolution — not morsel-divisible.
-    table.insert_batch(keys, values)
+    with executor.table_storage(table):
+        summaries = executor.run(len(keys), body)
+    _absorb_summaries(table, summaries)
+    _audit_perfect_occupancy(table)
 
 
-def _process_probe(
+def execute_probe(
     table: HashTableBase,
     keys: np.ndarray,
-    executor: ProcessExecutor,
+    executor: Optional[MorselExecutor] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Probe in forked children; outputs land in shared buffers.
+    """Look up ``keys``; returns (found, values) bit-identical to serial.
 
-    The table is frozen during a probe, so children read it through
-    fork's copy-on-write pages — only the two output arrays need real
-    shared memory.  Each morsel writes its own disjoint slice, making
-    the merged output independent of completion order.
+    Linear probing, chain walks, and perfect lookups are pure functions
+    of the (frozen) table and the key slice, and all counters are
+    per-tuple sums — so a morsel-split probe returns the same outputs
+    and records the same TableStats as one whole-batch lookup.  The
+    table is frozen, so bodies only read it; only the two outputs are
+    written, each range into its own slice.
     """
-    arena = ShmArena()
-    try:
-        found = arena.array(len(keys), np.bool_)
-        values = arena.array(len(keys), table.values.dtype)
+    if executor is None or len(keys) == 0:
+        return table.lookup_batch(keys)
+    dtypes = (np.bool_, table.values.dtype)
+    with executor.output_arrays(len(keys), dtypes) as outputs:
+        found, values = outputs
 
-        def body(worker: str, ranges) -> Tuple[str, Any]:
+        def body(worker: str, ranges: List[WorkRange]) -> Tuple[str, Any]:
             view = table.stats_view()
             for work in ranges:
                 part_found, part_values = view.lookup_batch(
@@ -306,96 +223,34 @@ def _process_probe(
             return _view_summary(view)
 
         summaries = executor.run(len(keys), body)
-        for worker in sorted(summaries):
-            _absorb_summary(table, summaries[worker])
-        return np.array(found), np.array(values)
-    finally:
-        arena.close()
-
-
-def execute_probe(
-    table: HashTableBase,
-    keys: np.ndarray,
-    executor: Optional[Executor] = None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Look up ``keys``; returns (found, values) bit-identical to serial.
-
-    Linear probing, chain walks, and perfect lookups are pure functions
-    of the (frozen) table and the key slice, and all counters are
-    per-tuple sums — so a morsel-split probe returns the same outputs
-    and records the same TableStats as one whole-batch lookup.
-    """
-    if executor is None or len(keys) == 0:
-        return table.lookup_batch(keys)
-    if isinstance(executor, ProcessExecutor):
-        return _process_probe(table, keys, executor)
-    views = _worker_views(table)
-
-    def probe_morsel(
-        work: WorkRange, worker: str
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        view = _view_for(views, table, worker)
-        return view.lookup_batch(keys[work.start : work.end])
-
-    parts = executor.map_values(len(keys), probe_morsel)
-    _absorb_all(table, views)
-    found = np.concatenate([part[0] for part in parts])
-    values = np.concatenate([part[1] for part in parts])
+    _absorb_summaries(table, summaries)
+    found, values = outputs
     return found, values
-
-
-def _process_masks(
-    n_rows: int,
-    evaluators: Sequence[MaskEvaluator],
-    executor: ProcessExecutor,
-) -> List[np.ndarray]:
-    """Evaluate predicates in forked children via shared output arrays."""
-    arena = ShmArena()
-    try:
-        # Probe each evaluator's output dtype with an empty range so the
-        # shared buffers match (Q6's last mask is a float revenue term,
-        # not a bool).
-        outputs = [
-            arena.array(n_rows, evaluator(0, 0).dtype)
-            for evaluator in evaluators
-        ]
-
-        def body(worker: str, ranges) -> None:
-            for work in ranges:
-                for out, evaluator in zip(outputs, evaluators):
-                    out[work.start : work.end] = evaluator(
-                        work.start, work.end
-                    )
-            return None
-
-        executor.run(n_rows, body)
-        return [np.array(out) for out in outputs]
-    finally:
-        arena.close()
 
 
 def execute_masks(
     n_rows: int,
     evaluators: Sequence[MaskEvaluator],
-    executor: Optional[Executor] = None,
+    executor: Optional[MorselExecutor] = None,
 ) -> List[np.ndarray]:
     """Evaluate row-range predicates over ``[0, n_rows)``.
 
     Each evaluator maps a half-open row range to a boolean (or
-    element-wise) mask for those rows; masks are merged by morsel-order
-    concatenation.  Element-wise predicates make slice-then-concatenate
+    element-wise) mask for those rows; each range writes its own slice
+    of the output.  Element-wise predicates make sliced evaluation
     bit-identical to whole-array evaluation.
     """
     if executor is None or n_rows == 0:
         return [evaluator(0, n_rows) for evaluator in evaluators]
-    if isinstance(executor, ProcessExecutor):
-        return _process_masks(n_rows, evaluators, executor)
+    # Probe each evaluator's output dtype with an empty range so the
+    # buffers match (Q6's last mask is a float revenue term, not a bool).
+    dtypes = [evaluator(0, 0).dtype for evaluator in evaluators]
+    with executor.output_arrays(n_rows, dtypes) as outputs:
 
-    def masks_morsel(work: WorkRange, worker: str) -> List[np.ndarray]:
-        return [evaluator(work.start, work.end) for evaluator in evaluators]
+        def body(worker: str, ranges: List[WorkRange]) -> None:
+            for work in ranges:
+                for out, evaluator in zip(outputs, evaluators):
+                    out[work.start : work.end] = evaluator(work.start, work.end)
 
-    parts = executor.map_values(n_rows, masks_morsel)
-    return [
-        np.concatenate([part[i] for part in parts])
-        for i in range(len(evaluators))
-    ]
+        executor.run(n_rows, body)
+    return outputs

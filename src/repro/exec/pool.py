@@ -1,78 +1,90 @@
 """Thread-pool morsel-parallel executor (Section 6.1, for real).
 
 The functional layer used to drive its numpy kernels from exactly one
-thread; this module runs them across N workers pulling work from the
-(now thread-safe) :class:`~repro.core.scheduler.morsel.MorselDispatcher`
-— the same "cores request fixed-sized chunks from a central read
-cursor" scheme the paper's Het strategy uses, executed with real
-concurrency instead of a discrete-event simulation of it.
+thread; this module runs them across N worker threads.  Both parallel
+backends share one execution contract, defined here:
 
-Determinism guarantee: each dispatched range lands in the worker's
-private result buffer; after the pool drains, buffers are merged by
-range start (ranges partition ``[0, total_tuples)``, so the merge is a
-stable morsel-order concatenation).  Parallel output is therefore
-bit-identical to a serial execution of the same morsel decomposition,
-regardless of worker count or interleaving.
+* the input ``[0, total_tuples)`` is cut into fixed morsels
+  (:meth:`MorselExecutor.plan_ranges`);
+* :func:`repro.faults.recovery.plan_assignment` deals the morsels
+  round-robin to the workers and decides every fault recovery up front;
+* ``body(worker, ranges)`` then runs once per worker over its ranges
+  (in start order) and returns a summary; :meth:`MorselExecutor.run`
+  returns ``{worker: summary}``.
 
-Resilience (``repro.faults``): when a :class:`~repro.faults.FaultPlan`
-is installed, the executor checks each morsel receipt *before* the task
-runs — the crash-safe injection point — and recovers:
+This executor runs each worker's body on its own thread and the
+fallback worker's body (if the whole pool died) on the calling thread;
+:class:`~repro.exec.process.ProcessExecutor` forks one child per worker
+instead.  Each executor also owns where a run's outputs and mutable
+table storage live (:meth:`~MorselExecutor.output_arrays`,
+:meth:`~MorselExecutor.table_storage`): plain numpy arrays here, shared
+memory for processes.
 
-* a :class:`~repro.faults.TransientKernelFault` retries the same range
-  in place with bounded backoff (:class:`~repro.faults.RetryPolicy`);
-* a :class:`~repro.faults.WorkerCrashFault` kills the worker; its range
-  is re-dispatched to a surviving worker (unordered runs) or the pool
-  degrades to a serial morsel-order replay (ordered runs, where blocked
-  peers cannot take over);
-* if every worker dies, the main thread replays the remaining ranges
-  serially — output stays bit-identical because ranges still run
-  exactly once and merge in morsel order;
-* an exhausted retry budget raises :class:`MorselFailedError` naming
-  the failed range, with every peer woken (no stranded waiters).
+Determinism guarantee: ranges partition ``[0, total_tuples)`` and each
+executes exactly once, into a range-disjoint output slice or a private
+stats view whose summary merges in worker-name order — so parallel
+output is bit-identical to a serial execution regardless of worker
+count or interleaving.
 
-Genuine (non-injected) task exceptions propagate unchanged, with the
-failed range attached as ``failed_work`` / ``failed_worker`` attributes.
+Resilience (``repro.faults``): fault draws fire at morsel receipt,
+before a range runs, and are pure functions of ``(worker, range,
+attempt)`` plus per-worker receipt ordinals, so the planner's recovery
+decisions (retry in place, re-dispatch a crashed worker's ranges, fall
+back to the calling thread, or raise :class:`MorselFailedError`) are
+the same on every backend and land in the shared
+:class:`~repro.faults.ResilienceLog`.  Genuine (non-injected) body
+exceptions propagate unchanged, with the failing worker attached as
+``failed_worker``.
 
 The executor keeps its *own* metrics registry and span timeline.  The
 observability bundle attached to an operator records the *priced*
 (modeled) execution; wall-clock worker scheduling is a property of the
 host machine and must not leak into run manifests, which are diffed
-bit-for-bit across backends and PRs.  Recovery actions additionally
-land in a :class:`~repro.faults.ResilienceLog` for the manifest's
-``resilience`` section.
+bit-for-bit across backends and PRs.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Deque, Generic, List, Optional, Tuple, TypeVar
-
-from repro.core.scheduler.morsel import MorselDispatcher, WorkRange
-from repro.faults.plan import (
-    FaultPlan,
-    TransientKernelFault,
-    WorkerCrashFault,
+from contextlib import contextmanager, nullcontext
+from typing import (
+    Any,
+    Callable,
+    ContextManager,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
 )
-from repro.faults.recovery import RetryPolicy
+
+import numpy as np
+
+from repro.core.scheduler.morsel import WorkRange
+from repro.faults.recovery import (  # MorselFailedError: re-exported
+    MorselFailedError,
+    RetryPolicy,
+    plan_assignment,
+)
 from repro.faults.resilience import ResilienceLog
 from repro.faults.runtime import active_plan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Timeline
 
-T = TypeVar("T")
-
 #: valid execution backends for the functional layer.
 EXEC_BACKENDS = ("serial", "threads", "processes")
 
-#: default morsel size (executed tuples) for the thread backend — small
-#: enough that reduced-scale workloads still decompose into many
+#: default morsel size (executed tuples) for the parallel backends —
+#: small enough that reduced-scale workloads still decompose into many
 #: morsels, large enough that numpy kernels dominate dispatch overhead.
 DEFAULT_EXEC_MORSEL_TUPLES = 1 << 15
 
-#: default worker count of the thread backend.
+#: default worker count of the parallel backends.
 DEFAULT_WORKERS = 4
+
+#: a per-worker body: (worker name, its ranges in start order) -> summary.
+WorkerBody = Callable[[str, List[WorkRange]], Any]
 
 
 def check_backend(backend: str) -> str:
@@ -85,145 +97,37 @@ def check_backend(backend: str) -> str:
     return backend
 
 
-class AbortedError(RuntimeError):
-    """Ordered execution was aborted before this range could be applied.
-
-    Raised out of :meth:`_Sequencer.run_in_order` to every waiter when a
-    peer worker fails (or crashes); the range the waiter held was *not*
-    applied and is safe to replay.
-    """
-
-
-class MorselFailedError(RuntimeError):
-    """A work range exhausted its retry budget.
-
-    Attributes:
-        work: the failed :class:`WorkRange`.
-        worker: the worker holding the range on the final attempt.
-        attempts: attempts consumed (including the first).
-    """
-
-    def __init__(
-        self, work: WorkRange, worker: str, attempts: int, cause: BaseException
-    ) -> None:
-        super().__init__(
-            f"morsel [{work.start}, {work.end}) failed on {worker} after "
-            f"{attempts} attempt(s): {cause}"
-        )
-        self.work = work
-        self.worker = worker
-        self.attempts = attempts
-        self.__cause__ = cause
-
-
-class _WorkerCrashed(Exception):
-    """Internal control flow: this worker was killed by an injected crash."""
-
-
-@dataclass(frozen=True)
-class MorselOutcome(Generic[T]):
-    """One dispatched range, the worker that ran it, and its result."""
-
-    work: WorkRange
-    worker: str
-    value: T
-
-
-class _Sequencer:
-    """Enforces morsel-order application of side-effecting tasks.
-
-    A worker holding range ``[s, e)`` blocks until every earlier range
-    has been applied; hash-table builds use this so the shared table
-    evolves exactly as a serial morsel-order build would.
-
-    Abort protocol: :meth:`abort` wakes every waiter, which raises
-    :class:`AbortedError` *without* applying its range; a task that
-    raises mid-apply aborts its peers and never advances the cursor, so
-    nothing is applied out of order and nobody is left blocked.  A task
-    already past the fault check finishes its application even if an
-    abort lands meanwhile — its side effects are real, so the cursor
-    must record them.
-    """
-
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._next = 0
-        self._aborted = False
-
-    @property
-    def applied_through(self) -> int:
-        """Every range below this tuple index has been applied."""
-        with self._cond:
-            return self._next
-
-    def run_in_order(self, start: int, end: int, fn: Callable[[], T]) -> T:
-        with self._cond:
-            while self._next != start and not self._aborted:
-                self._cond.wait()
-            if self._aborted:
-                raise AbortedError(
-                    f"ordered execution aborted; range [{start}, {end}) "
-                    "was not applied"
-                )
-        try:
-            value = fn()
-        except BaseException:
-            # The range may be partially applied: poison the sequence so
-            # no later range is applied after the gap, and wake everyone.
-            self.abort()
-            raise
-        with self._cond:
-            self._next = end
-            self._cond.notify_all()
-        return value
-
-    def abort(self) -> None:
-        with self._cond:
-            self._aborted = True
-            self._cond.notify_all()
-
-
 class MorselExecutor:
-    """Runs a per-range task across N workers over ``[0, total_tuples)``.
+    """Runs a per-worker body across N threads over ``[0, total_tuples)``.
 
     Args:
-        workers: number of pool threads (1 degenerates to an in-line
-            loop through the same dispatcher — useful for tests).
-        morsel_tuples: dispatcher morsel size in executed tuples.
-        batch_morsels: morsels per dispatch request (GPU-style batching).
-        name: label prefix for executor-local spans and metrics.
+        workers: number of pool threads (a single list runs in-line on
+            the calling thread).
+        morsel_tuples: morsel size in executed tuples.
+        name: label prefix for worker names, spans, and metrics.
         retry: bounded retry/backoff policy for injected faults.
         resilience: recovery audit log (a fresh one is created when not
             injected; operators share one per run so it lands in the
             manifest's ``resilience`` section).
-        serial_fallback: allow degradation to a serial morsel-order
-            replay when the whole pool dies; disabling it turns that
-            situation into an error.
     """
 
     def __init__(
         self,
         workers: int = DEFAULT_WORKERS,
         morsel_tuples: int = DEFAULT_EXEC_MORSEL_TUPLES,
-        batch_morsels: int = 1,
         name: str = "exec",
         retry: Optional[RetryPolicy] = None,
         resilience: Optional[ResilienceLog] = None,
-        serial_fallback: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker: {workers}")
         if morsel_tuples <= 0:
             raise ValueError(f"morsel size must be positive: {morsel_tuples}")
-        if batch_morsels <= 0:
-            raise ValueError(f"batch must be at least one morsel: {batch_morsels}")
         self.workers = workers
         self.morsel_tuples = morsel_tuples
-        self.batch_morsels = batch_morsels
         self.name = name
         self.retry = retry if retry is not None else RetryPolicy()
         self.resilience = resilience if resilience is not None else ResilienceLog()
-        self.serial_fallback = serial_fallback
         #: executor-local observability (never merged into run manifests).
         self.metrics = MetricsRegistry()
         self.timeline = Timeline()
@@ -233,347 +137,147 @@ class MorselExecutor:
         """Stable worker labels (``<name>-w0`` ... ``<name>-wN-1``)."""
         return [f"{self.name}-w{i}" for i in range(self.workers)]
 
+    def plan_ranges(
+        self, total_tuples: int, morsel_tuples: Optional[int] = None
+    ) -> List[WorkRange]:
+        """The static morsel decomposition of ``[0, total_tuples)``."""
+        step = morsel_tuples if morsel_tuples is not None else self.morsel_tuples
+        if step <= 0:
+            raise ValueError(f"morsel size must be positive: {step}")
+        return [
+            WorkRange(start, min(start + step, total_tuples))
+            for start in range(0, total_tuples, step)
+        ]
+
     # ------------------------------------------------------------------
     def run(
         self,
         total_tuples: int,
-        task: Callable[[WorkRange, str], T],
-        ordered: bool = False,
+        body: WorkerBody,
         morsel_tuples: Optional[int] = None,
-    ) -> List[MorselOutcome[T]]:
-        """Dispatch ``[0, total_tuples)`` to the pool; merge by range start.
+    ) -> Dict[str, Any]:
+        """Plan ``[0, total_tuples)`` and run ``body`` once per worker.
 
-        ``task(work, worker)`` is called once per dispatched range.  With
-        ``ordered=True`` tasks are *applied* in morsel order (workers
-        still pull concurrently but block on a sequencer), which is what
-        shared-table mutation requires.  ``morsel_tuples`` overrides the
-        executor's configured morsel size for this run only — sharded
-        builds dispatch shard *indices* (morsel size 1) through the same
-        machinery.
-
-        Returns the outcomes sorted by ``work.start`` — the morsel-order
-        merge — after verifying the ranges exactly cover the input.
+        ``morsel_tuples`` overrides the configured morsel size for this
+        run only — sharded builds assign shard *indices* (morsel size 1)
+        through the same machinery.  Returns ``{worker: summary}`` for
+        every worker that received ranges, including the
+        ``<name>-fallback`` worker when the whole pool died.
         """
-        run = _PoolRun(
-            self, total_tuples, task, ordered, active_plan(),
-            morsel_tuples=morsel_tuples,
+        ranges = self.plan_ranges(total_tuples, morsel_tuples)
+        fallback = f"{self.name}-fallback"
+        assignment = plan_assignment(
+            ranges,
+            self.worker_names(),
+            active_plan(),
+            self.retry,
+            self.resilience,
+            self.metrics,
+            fallback,
         )
-        return run.execute()
-
-    def map_values(
-        self,
-        total_tuples: int,
-        task: Callable[[WorkRange, str], T],
-        ordered: bool = False,
-        morsel_tuples: Optional[int] = None,
-    ) -> List[T]:
-        """:meth:`run`, returning just the values in morsel order."""
-        return [
-            outcome.value
-            for outcome in self.run(
-                total_tuples, task, ordered, morsel_tuples=morsel_tuples
-            )
-        ]
-
-
-class _PoolRun(Generic[T]):
-    """One :meth:`MorselExecutor.run` invocation's mutable state.
-
-    Separated from the executor so concurrent state (pending queues,
-    stop events, the sequencer) has run lifetime, while the executor
-    keeps only configuration plus cumulative observability.
-    """
-
-    def __init__(
-        self,
-        executor: MorselExecutor,
-        total_tuples: int,
-        task: Callable[[WorkRange, str], T],
-        ordered: bool,
-        plan: Optional[FaultPlan],
-        morsel_tuples: Optional[int] = None,
-    ) -> None:
-        self.executor = executor
-        self.task = task
-        self.ordered = ordered
-        self.plan = plan
-        self.total_tuples = total_tuples
-        self.dispatcher = MorselDispatcher(
-            total_tuples,
-            morsel_tuples if morsel_tuples is not None else executor.morsel_tuples,
-            metrics=executor.metrics,
-        )
-        self.buffers: List[List[MorselOutcome[T]]] = [
-            [] for _ in range(executor.workers + 1)  # +1: serial-fallback buffer
-        ]
-        self.errors: List[BaseException] = []
-        self.fatal = threading.Event()
-        self.degrade = threading.Event()
-        #: ranges pulled but not executed, awaiting another worker:
-        #: re-dispatch queue (unordered) / replay backlog (ordered).
-        self.pending: Deque[Tuple[WorkRange, int]] = deque()
-        self.lock = threading.Lock()
-        self.sequencer = _Sequencer() if ordered else None
-
-    # -- fault bookkeeping ----------------------------------------------
-    def _record_fault(self, kind: str, worker: str) -> None:
-        self.executor.metrics.counter(
-            "faults_injected_total", kind=kind, worker=worker
-        ).inc()
-
-    def _fail(
-        self, work: WorkRange, worker: str, attempts: int, cause: BaseException
-    ) -> MorselFailedError:
-        """Build the typed budget-exhausted error and stop the pool."""
-        failure = MorselFailedError(work, worker, attempts, cause)
-        with self.lock:
-            self.errors.append(failure)
-        self.fatal.set()
-        if self.sequencer is not None:
-            self.sequencer.abort()
-        return failure
-
-    # -- per-range execution with recovery -------------------------------
-    def _attempt(
-        self,
-        work: WorkRange,
-        worker: str,
-        attempt: int,
-        buffer: List[MorselOutcome[T]],
-        in_pool: bool,
-    ) -> None:
-        """Run one range, retrying injected faults within the budget.
-
-        ``in_pool`` distinguishes pool workers (which may die and hand
-        their range to a peer) from the serial-fallback driver (which
-        has no peers and converts crashes into in-place retries).
-        Raises :class:`_WorkerCrashed` to unwind a killed pool worker.
-        """
-        executor = self.executor
-        retry = executor.retry
-        while True:
-            try:
-                if self.plan is not None:
-                    self.plan.check_morsel(
-                        worker=worker,
-                        start=work.start,
-                        end=work.end,
-                        attempt=attempt,
-                    )
-                if self.sequencer is not None and in_pool:
-                    value = self.sequencer.run_in_order(
-                        work.start, work.end, lambda: self.task(work, worker)
-                    )
-                else:
-                    value = self.task(work, worker)
-            except TransientKernelFault as fault:
-                self._record_fault("transient", worker)
-                attempt += 1
-                if attempt >= retry.max_attempts:
-                    raise self._fail(work, worker, attempt, fault) from fault
-                delay = retry.delay(attempt)
-                executor.resilience.record(
-                    "retry",
-                    worker=worker,
-                    start=work.start,
-                    end=work.end,
-                    attempt=attempt,
-                    backoff_seconds=delay,
+        _check_coverage(assignment, total_tuples)
+        for worker, works in assignment.items():
+            self.metrics.counter(
+                "morsels_dispatched_total", worker=worker
+            ).inc(len(works))
+        backlog = assignment.pop(fallback, None)
+        summaries = self._run_workers(body, assignment)
+        if backlog is not None:
+            summaries[fallback] = body(fallback, backlog)
+            assignment[fallback] = backlog
+        for worker, works in assignment.items():
+            for work in works:
+                self.timeline.record(
+                    worker, f"{self.name}:morsel", 0.0, 0.0, units=work.tuples
                 )
-                executor.metrics.counter("retries_total", worker=worker).inc()
-                retry.sleep(attempt)
-                continue
-            except WorkerCrashFault as fault:
-                self._record_fault("crash", worker)
-                attempt += 1
-                if attempt >= retry.max_attempts:
-                    raise self._fail(work, worker, attempt, fault) from fault
-                if not in_pool:
-                    # The fallback driver has no peers to die for; treat
-                    # the crash as one more retry against the budget.
-                    delay = retry.delay(attempt)
-                    executor.resilience.record(
-                        "retry",
-                        worker=worker,
-                        start=work.start,
-                        end=work.end,
-                        attempt=attempt,
-                        backoff_seconds=delay,
-                    )
-                    executor.metrics.counter("retries_total", worker=worker).inc()
-                    retry.sleep(attempt)
-                    continue
-                # Hand the (side-effect free) range to the survivors and
-                # die.  Ordered runs additionally degrade: peers may be
-                # blocked in the sequencer and cannot pull the queue, so
-                # the pool drains and the main thread replays serially.
-                with self.lock:
-                    self.pending.append((work, attempt))
-                if self.ordered:
-                    self.degrade.set()
-                    assert self.sequencer is not None
-                    self.sequencer.abort()
-                raise _WorkerCrashed(worker) from fault
-            else:
-                buffer.append(MorselOutcome(work, worker, value))
-                executor.timeline.record(
-                    worker, f"{executor.name}:morsel", 0.0, 0.0, units=work.tuples
-                )
-                return
+        return summaries
 
-    # -- work acquisition -------------------------------------------------
-    def _take_work(self, worker: str) -> Optional[Tuple[WorkRange, int]]:
-        """Next unit: a re-dispatched crashed range, else the cursor."""
-        if not self.ordered:
-            with self.lock:
-                if self.pending:
-                    work, attempt = self.pending.popleft()
-                    self.executor.resilience.record(
-                        "redispatch",
-                        worker=worker,
-                        start=work.start,
-                        end=work.end,
-                        attempt=attempt,
-                    )
-                    self.executor.metrics.counter(
-                        "redispatches_total", worker=worker
-                    ).inc()
-                    return work, attempt
-        grant = self.dispatcher.next_batch(
-            self.executor.batch_morsels, worker=worker
-        )
-        if grant is None:
-            return None
-        return grant, 0
+    def _run_workers(
+        self, body: WorkerBody, assignment: Dict[str, List[WorkRange]]
+    ) -> Dict[str, Any]:
+        """One thread per worker list (in-line when there is just one)."""
+        replies: Dict[str, Tuple[bool, Any]] = {}
 
-    # -- worker loop -------------------------------------------------------
-    def _worker_loop(self, worker: str, buffer: List[MorselOutcome[T]]) -> None:
-        while not self.fatal.is_set() and not self.degrade.is_set():
-            got = self._take_work(worker)
-            if got is None:
-                return
-            work, attempt = got
+        def call(worker: str, works: List[WorkRange]) -> None:
             try:
-                self._attempt(work, worker, attempt, buffer, in_pool=True)
-            except _WorkerCrashed:
-                return  # range already re-queued (or error recorded)
-            except AbortedError:
-                if not self.fatal.is_set():
-                    # Degrading: the range this worker held was never
-                    # applied; park it for the serial replay.
-                    with self.lock:
-                        self.pending.append((work, attempt))
-                return
-            except MorselFailedError:
-                return  # _fail already recorded it and stopped the pool
-            except BaseException as exc:  # noqa: B036 - propagate to caller
-                # A genuine task bug: attach the failed range and stop.
-                exc.failed_work = work  # type: ignore[attr-defined]
-                exc.failed_worker = worker  # type: ignore[attr-defined]
-                with self.lock:
-                    self.errors.append(exc)
-                self.fatal.set()
-                if self.sequencer is not None:
-                    self.sequencer.abort()
-                return
+                replies[worker] = (True, body(worker, works))
+            except BaseException as exc:  # noqa: B036 - re-raised by collect
+                replies[worker] = (False, exc)
 
-    # -- serial replay fallback ---------------------------------------------
-    def _serial_replay(self) -> None:
-        """Drain every unexecuted range in morsel order on this thread.
-
-        Reached when the pool died (all workers crashed) or an ordered
-        run degraded after a crash.  Ranges still execute exactly once —
-        the applied prefix is in the buffers, the rest is here — so the
-        merged output stays bit-identical.
-        """
-        executor = self.executor
-        fallback = f"{executor.name}-fallback"
-        with self.lock:
-            backlog = sorted(self.pending, key=lambda item: item[0].start)
-            self.pending.clear()
-        executor.resilience.record(
-            "serial_fallback",
-            worker=fallback,
-            pending_ranges=len(backlog),
-            ordered=self.ordered,
-        )
-        executor.metrics.counter("serial_fallbacks_total").inc()
-        buffer = self.buffers[-1]
-        for work, attempt in backlog:
-            executor.resilience.record(
-                "redispatch",
-                worker=fallback,
-                start=work.start,
-                end=work.end,
-                attempt=attempt,
-            )
-            executor.metrics.counter(
-                "redispatches_total", worker=fallback
-            ).inc()
-            self._attempt(work, fallback, attempt, buffer, in_pool=False)
-        while True:
-            grant = self.dispatcher.next_batch(
-                executor.batch_morsels, worker=fallback
-            )
-            if grant is None:
-                return
-            self._attempt(grant, fallback, 0, buffer, in_pool=False)
-
-    # -- top level ------------------------------------------------------------
-    def execute(self) -> List[MorselOutcome[T]]:
-        executor = self.executor
-        names = executor.worker_names()
-        if executor.workers == 1:
-            self._worker_loop(names[0], self.buffers[0])
+        if len(assignment) == 1:
+            call(*next(iter(assignment.items())))
         else:
             threads = [
                 threading.Thread(
-                    target=self._worker_loop,
-                    args=(names[i], self.buffers[i]),
-                    name=names[i],
-                    daemon=True,
+                    target=call, args=(worker, works), name=worker, daemon=True
                 )
-                for i in range(executor.workers)
+                for worker, works in assignment.items()
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
-        # The workers have been joined, but the lock discipline for
-        # ``errors``/``pending`` is acquire-to-read everywhere — the
-        # serial path (workers == 1) shares this code and a failed
-        # worker thread may have died mid-update.
-        with self.lock:
-            if self.errors:
-                raise self.errors[0]
-            leftover = bool(self.pending)
-        if leftover or not self.dispatcher.exhausted:
-            if not executor.serial_fallback:
-                raise RuntimeError(
-                    f"{executor.name}: every worker died with work "
-                    "remaining and serial_fallback is disabled"
-                )
-            self._serial_replay()
-        return self._merge()
+        return collect_summaries(self.name, list(assignment), replies)
 
-    def _merge(self) -> List[MorselOutcome[T]]:
-        merged: List[MorselOutcome[T]] = sorted(
-            (outcome for buffer in self.buffers for outcome in buffer),
-            key=lambda outcome: outcome.work.start,
-        )
-        cursor = 0
-        for outcome in merged:
-            if outcome.work.start != cursor:
-                raise RuntimeError(
-                    f"morsel merge lost coverage at tuple {cursor}: "
-                    f"next range starts at {outcome.work.start}"
-                )
-            cursor = outcome.work.end
-        if cursor != self.total_tuples:
+    # -- where a run's data lives ---------------------------------------
+    @contextmanager
+    def output_arrays(
+        self, length: int, dtypes: Sequence[Any]
+    ) -> Iterator[List[np.ndarray]]:
+        """Output buffers that bodies fill range-disjoint slices of.
+
+        The yielded list holds the final arrays once the block exits.
+        """
+        yield [np.empty(length, dtype=dtype) for dtype in dtypes]
+
+    def table_storage(self, table: Any) -> ContextManager[None]:
+        """Context in which bodies may mutate ``table``'s storage."""
+        return nullcontext()
+
+
+def collect_summaries(
+    name: str,
+    workers: Sequence[str],
+    replies: Dict[str, Tuple[bool, Any]],
+) -> Dict[str, Any]:
+    """``{worker: summary}``; raise the first failure in worker order.
+
+    ``replies`` maps every worker to ``(ok, summary)`` or to
+    ``(False, exception-or-message)``.
+    """
+    summaries: Dict[str, Any] = {}
+    for worker in workers:
+        ok, payload = replies[worker]
+        if ok:
+            summaries[worker] = payload
+            continue
+        if not isinstance(payload, BaseException):
+            payload = RuntimeError(f"{name}: worker {worker} failed: {payload}")
+        payload.failed_worker = worker  # type: ignore[attr-defined]
+        raise payload
+    return summaries
+
+
+def _check_coverage(
+    assignment: Dict[str, List[WorkRange]], total_tuples: int
+) -> None:
+    """The assignment must partition ``[0, total_tuples)`` exactly."""
+    merged = sorted(
+        (work for works in assignment.values() for work in works),
+        key=lambda work: work.start,
+    )
+    cursor = 0
+    for work in merged:
+        if work.start != cursor:
             raise RuntimeError(
-                f"morsel merge covers {cursor} of {self.total_tuples} tuples"
+                f"morsel assignment lost coverage at tuple {cursor}: "
+                f"next range starts at {work.start}"
             )
-        return merged
+        cursor = work.end
+    if cursor != total_tuples:
+        raise RuntimeError(
+            f"morsel assignment covers {cursor} of {total_tuples} tuples"
+        )
 
 
 def make_executor(
@@ -594,17 +298,12 @@ def make_executor(
     check_backend(backend)
     if backend == "serial":
         return None
+    cls = MorselExecutor
     if backend == "processes":
         from repro.exec.process import ProcessExecutor
 
-        return ProcessExecutor(
-            workers=workers,
-            morsel_tuples=morsel_tuples,
-            name=name,
-            retry=retry,
-            resilience=resilience,
-        )
-    return MorselExecutor(
+        cls = ProcessExecutor
+    return cls(
         workers=workers,
         morsel_tuples=morsel_tuples,
         name=name,

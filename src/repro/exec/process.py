@@ -3,57 +3,48 @@
 The threads backend parallelizes dispatch but numpy kernels still share
 one interpreter; this backend forks real worker processes, echoing the
 coupled-architecture co-processing split: the parent plans a static,
-deterministic decomposition, forked children execute their ranges
-against ``multiprocessing.shared_memory`` buffers (see
-:mod:`repro.exec.shm`), and the parent merges per-worker summaries in
-worker-name order.
+deterministic decomposition — fault recovery included, via the shared
+:func:`~repro.faults.recovery.plan_assignment` — then forked children
+execute their ranges against ``multiprocessing.shared_memory`` buffers
+(see :mod:`repro.exec.shm`), and the parent merges per-worker summaries
+in worker-name order.
 
-**Fork is required.**  The functional layer's tasks close over numpy
+It runs the execution contract of :class:`~repro.exec.pool.MorselExecutor`
+unchanged — ``run(total, body(worker, ranges)) -> {worker: summary}``,
+one child per worker list, the fallback list on the calling thread —
+and only swaps where the data lives: output buffers and mutable table
+storage go to shared memory so the parent sees the children's writes,
+and summaries must pickle.
+
+**Fork is required.**  The functional layer's bodies close over numpy
 arrays and lambdas — unpicklable under ``spawn`` — and fork's
 copy-on-write pages give children free read access to every input.
 Constructing the executor on a platform without fork raises.
 
-Determinism guarantee (same contract as the threads pool): ranges
-partition ``[0, total_tuples)``, each range executes exactly once into
-a private (morsel-range or shard-disjoint) region, and summaries merge
-in sorted worker order — so outputs and ``TableStats`` are bit-identical
-to serial at every worker count.
-
-Fault injection runs **in the parent, before forking**: the
-:class:`~repro.faults.FaultPlan` hooks are deterministic functions of
-``(worker, range, attempt)``, so the parent can replay the pool
-semantics — transient retry-in-place, crashed workers handing their
-range to a survivor (a ``redispatch``), whole-pool death degrading to a
-serial replay by the parent — and only then fork the surviving
-assignment.  Children never see fault hooks; a simulated "crash" means
-the worker's process is simply never forked with that range.
-
-Observability mirrors the threads pool: the executor keeps its *own*
-metrics registry and timeline (never merged into run manifests — wall
-clock and scheduling are host properties), and recovery actions land in
-the shared :class:`~repro.faults.ResilienceLog`.
+Children never see fault hooks: the planner decided every recovery
+before forking, so a simulated "crash" means the worker's process is
+simply never forked with that range.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Any, ContextManager, Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.scheduler.morsel import WorkRange
 from repro.exec.pool import (
     DEFAULT_EXEC_MORSEL_TUPLES,
     DEFAULT_WORKERS,
-    MorselFailedError,
+    MorselExecutor,
+    WorkerBody,
+    collect_summaries,
 )
-from repro.faults.plan import TransientKernelFault, WorkerCrashFault
+from repro.exec.shm import ShmArena, table_storage_in_shm
 from repro.faults.recovery import RetryPolicy
 from repro.faults.resilience import ResilienceLog
-from repro.faults.runtime import active_plan
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Timeline
-
-#: a per-worker body: (worker name, its ranges) -> picklable summary.
-WorkerBody = Callable[[str, List[WorkRange]], Any]
 
 
 def fork_available() -> bool:
@@ -61,25 +52,8 @@ def fork_available() -> bool:
     return "fork" in mp.get_all_start_methods()
 
 
-class _Assignment:
-    """The post-fault-simulation work distribution of one run."""
-
-    def __init__(self, workers: List[str]) -> None:
-        #: per-worker surviving ranges, in receipt order.
-        self.per_worker: Dict[str, List[WorkRange]] = {w: [] for w in workers}
-        #: ranges the parent replays serially (whole pool died).
-        self.fallback: List[Tuple[WorkRange, int, bool]] = []
-
-
-class ProcessExecutor:
-    """Runs a per-worker body across N forked processes.
-
-    Interface parallels :class:`~repro.exec.pool.MorselExecutor` where
-    the functional layer needs it (``worker_names``, ``metrics``,
-    ``timeline``, ``retry``, ``resilience``), but the unit of dispatch
-    is a *worker body* executed once per child over all of that
-    worker's ranges — forking per morsel would swamp any kernel.
-    """
+class ProcessExecutor(MorselExecutor):
+    """Runs a per-worker body across N forked processes."""
 
     def __init__(
         self,
@@ -88,319 +62,82 @@ class ProcessExecutor:
         name: str = "exec",
         retry: Optional[RetryPolicy] = None,
         resilience: Optional[ResilienceLog] = None,
-        serial_fallback: bool = True,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"need at least one worker: {workers}")
-        if morsel_tuples <= 0:
-            raise ValueError(f"morsel size must be positive: {morsel_tuples}")
+        super().__init__(workers, morsel_tuples, name, retry, resilience)
         if not fork_available():
             raise RuntimeError(
                 "backend='processes' requires the fork start method "
                 "(POSIX); this platform offers: "
                 f"{', '.join(mp.get_all_start_methods())}"
             )
-        self.workers = workers
-        self.morsel_tuples = morsel_tuples
-        self.name = name
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.resilience = resilience if resilience is not None else ResilienceLog()
-        self.serial_fallback = serial_fallback
         self._ctx = mp.get_context("fork")
-        #: executor-local observability (never merged into run manifests).
-        self.metrics = MetricsRegistry()
-        self.timeline = Timeline()
 
-    # ------------------------------------------------------------------
-    def worker_names(self) -> List[str]:
-        """Stable worker labels (``<name>-w0`` ... ``<name>-wN-1``)."""
-        return [f"{self.name}-w{i}" for i in range(self.workers)]
-
-    def plan_ranges(
-        self, total_tuples: int, morsel_tuples: Optional[int] = None
-    ) -> List[WorkRange]:
-        """The static morsel decomposition of ``[0, total_tuples)``."""
-        step = morsel_tuples if morsel_tuples is not None else self.morsel_tuples
-        if step <= 0:
-            raise ValueError(f"morsel size must be positive: {step}")
-        return [
-            WorkRange(start, min(start + step, total_tuples))
-            for start in range(0, total_tuples, step)
-        ]
-
-    # ------------------------------------------------------------------
-    # Parent-side fault simulation
-    # ------------------------------------------------------------------
-    def _record_fault(self, kind: str, worker: str) -> None:
-        self.metrics.counter(
-            "faults_injected_total", kind=kind, worker=worker
-        ).inc()
-
-    def _record_retry(
-        self, worker: str, work: WorkRange, attempt: int
-    ) -> None:
-        delay = self.retry.delay(attempt)
-        self.resilience.record(
-            "retry",
-            worker=worker,
-            start=work.start,
-            end=work.end,
-            attempt=attempt,
-            backoff_seconds=delay,
-        )
-        self.metrics.counter("retries_total", worker=worker).inc()
-        self.retry.sleep(attempt)
-
-    def _receive(
-        self, plan, worker: str, work: WorkRange, attempt: int, in_pool: bool
-    ) -> Tuple[bool, int]:
-        """Replay one receipt against the fault plan.
-
-        Returns ``(survived, attempt)``: ``survived=False`` means the
-        worker crashed holding the range (pool workers only — the
-        fallback driver converts crashes into in-place retries, exactly
-        like the thread pool's ``in_pool=False`` path).  Raises
-        :class:`MorselFailedError` on budget exhaustion.
-        """
-        while True:
-            try:
-                plan.check_morsel(
-                    worker=worker, start=work.start, end=work.end, attempt=attempt
-                )
-            except TransientKernelFault as fault:
-                self._record_fault("transient", worker)
-                attempt += 1
-                if attempt >= self.retry.max_attempts:
-                    raise MorselFailedError(work, worker, attempt, fault) from fault
-                self._record_retry(worker, work, attempt)
-                continue
-            except WorkerCrashFault as fault:
-                self._record_fault("crash", worker)
-                attempt += 1
-                if attempt >= self.retry.max_attempts:
-                    raise MorselFailedError(work, worker, attempt, fault) from fault
-                if not in_pool:
-                    self._record_retry(worker, work, attempt)
-                    continue
-                return False, attempt
-            else:
-                return True, attempt
-
-    def _simulate(self, ranges: List[WorkRange]) -> _Assignment:
-        """Distribute ranges round-robin and replay the fault plan.
-
-        Without an active plan this is a plain static round-robin
-        split.  With one, receipts are replayed per worker in queue
-        order — the fault hooks are pure functions of
-        ``(worker, range, attempt)`` plus per-worker receipt ordinals,
-        so the replay is deterministic and interleaving-free.
-        """
-        names = self.worker_names()
-        assignment = _Assignment(names)
-        #: queue entries: (range, attempt, was_redispatched)
-        queues: Dict[str, List[Tuple[WorkRange, int, bool]]] = {
-            w: [] for w in names
-        }
-        for i, work in enumerate(ranges):
-            queues[names[i % len(names)]].append((work, 0, False))
-        plan = active_plan()
-        alive = {w: True for w in names}
-
-        def receive_all() -> bool:
-            progressed = False
-            for w in names:
-                while alive[w] and queues[w]:
-                    progressed = True
-                    work, attempt, redispatched = queues[w].pop(0)
-                    if redispatched:
-                        self.resilience.record(
-                            "redispatch",
-                            worker=w,
-                            start=work.start,
-                            end=work.end,
-                            attempt=attempt,
-                        )
-                        self.metrics.counter(
-                            "redispatches_total", worker=w
-                        ).inc()
-                    if plan is None:
-                        assignment.per_worker[w].append(work)
-                        continue
-                    survived, attempt = self._receive(
-                        plan, w, work, attempt, in_pool=True
-                    )
-                    if survived:
-                        assignment.per_worker[w].append(work)
-                        continue
-                    # Crash: this worker is dead.  Its held range moves
-                    # to a survivor as a redispatch; its still-queued
-                    # ranges are work nobody received yet — survivors
-                    # pick them up as ordinary dispatches.
-                    alive[w] = False
-                    leftovers = [(work, attempt, True)] + queues[w]
-                    queues[w] = []
-                    survivors = [n for n in names if alive[n]]
-                    if not survivors:
-                        assignment.fallback.extend(leftovers)
-                        continue
-                    for j, item in enumerate(leftovers):
-                        queues[survivors[j % len(survivors)]].append(item)
-            return progressed
-
-        while receive_all():
-            pass
-        return assignment
-
-    def _run_fallback(
-        self, backlog: List[Tuple[WorkRange, int, bool]], body: WorkerBody
-    ) -> Tuple[str, Any]:
-        """Serial replay by the parent after the whole pool died."""
-        if not self.serial_fallback:
-            raise RuntimeError(
-                f"{self.name}: every worker died with work remaining and "
-                "serial_fallback is disabled"
-            )
-        fallback = f"{self.name}-fallback"
-        backlog = sorted(backlog, key=lambda item: item[0].start)
-        redispatched = [item for item in backlog if item[2]]
-        self.resilience.record(
-            "serial_fallback",
-            worker=fallback,
-            pending_ranges=len(redispatched),
-            ordered=False,
-        )
-        self.metrics.counter("serial_fallbacks_total").inc()
-        plan = active_plan()
-        survivors: List[WorkRange] = []
-        for work, attempt, was_redispatched in backlog:
-            if was_redispatched:
-                self.resilience.record(
-                    "redispatch",
-                    worker=fallback,
-                    start=work.start,
-                    end=work.end,
-                    attempt=attempt,
-                )
-                self.metrics.counter(
-                    "redispatches_total", worker=fallback
-                ).inc()
-            if plan is not None:
-                self._receive(plan, fallback, work, attempt, in_pool=False)
-            survivors.append(work)
-        return fallback, body(fallback, survivors)
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        total_tuples: int,
-        body: WorkerBody,
-        morsel_tuples: Optional[int] = None,
+    def _run_workers(
+        self, body: WorkerBody, assignment: Dict[str, List[WorkRange]]
     ) -> Dict[str, Any]:
-        """Fork one child per surviving worker; return their summaries.
-
-        ``body(worker, ranges)`` runs once per worker in a forked child
-        (side effects must target shared memory; the return value must
-        pickle).  Returns ``{worker_name: summary}`` including the
-        parent-side fallback driver when the pool died.  Ranges always
-        execute exactly once; coverage of ``[0, total_tuples)`` is
-        verified before returning.
-        """
-        ranges = self.plan_ranges(total_tuples, morsel_tuples)
-        assignment = self._simulate(ranges)
-        summaries: Dict[str, Any] = {}
-        procs: List[Tuple[Any, str]] = []
-        queue = self._ctx.SimpleQueue()
-        for worker in self.worker_names():
-            assigned = assignment.per_worker[worker]
-            if not assigned:
-                continue
-            self.metrics.counter(
-                "morsels_dispatched_total", worker=worker
-            ).inc(len(assigned))
+        """Fork one child per worker list; gather the pickled summaries."""
+        children = []
+        for worker, works in assignment.items():
+            receiver, sender = self._ctx.Pipe(duplex=False)
             child = self._ctx.Process(
-                target=_child_main,
-                args=(queue, worker, body, assigned),
-                name=worker,
+                target=_child_main, args=(sender, worker, body, works), name=worker
             )
             child.start()
-            procs.append((child, worker))
-        for child, worker in procs:
-            child.join()
+            # Only the child may hold the send end, so a child that dies
+            # without replying shows up as EOF instead of a hang.
+            sender.close()
+            children.append((worker, child, receiver))
         replies: Dict[str, Tuple[bool, Any]] = {}
-        while not queue.empty():
-            worker, ok, payload = queue.get()
-            replies[worker] = (ok, payload)
-        failure: Optional[BaseException] = None
-        for child, worker in procs:
-            if worker not in replies:
-                failure = failure or RuntimeError(
-                    f"{self.name}: worker process {worker} died without a "
-                    f"result (exit code {child.exitcode})"
-                )
-                continue
-            ok, payload = replies[worker]
-            if not ok and failure is None:
-                if isinstance(payload, BaseException):
-                    failure = payload
-                else:
-                    failure = RuntimeError(
-                        f"{self.name}: worker {worker} failed: {payload}"
+        for worker, child, receiver in children:
+            # Read before joining: a child blocks on a reply larger than
+            # the pipe buffer until the parent drains it.
+            with receiver:
+                try:
+                    replies[worker] = receiver.recv()
+                except EOFError:
+                    child.join()
+                    replies[worker] = (
+                        False,
+                        RuntimeError(
+                            f"{self.name}: worker process {worker} died "
+                            f"without a result (exit code {child.exitcode})"
+                        ),
                     )
-                failure.failed_worker = worker  # type: ignore[attr-defined]
-            elif ok:
-                summaries[worker] = payload
-        if failure is not None:
-            raise failure
-        executed = {
-            worker: list(assignment.per_worker[worker])
-            for worker in summaries
-        }
-        if assignment.fallback:
-            fallback, summary = self._run_fallback(assignment.fallback, body)
-            summaries[fallback] = summary
-            executed[fallback] = [work for work, _, __ in assignment.fallback]
-        for worker, works in executed.items():
-            for work in works:
-                self.timeline.record(
-                    worker, f"{self.name}:morsel", 0.0, 0.0, units=work.tuples
-                )
-        self._check_coverage(executed, total_tuples)
-        return summaries
+            child.join()
+        return collect_summaries(self.name, list(assignment), replies)
 
-    @staticmethod
-    def _check_coverage(
-        executed: Dict[str, List[WorkRange]], total_tuples: int
-    ) -> None:
-        merged = sorted(
-            (work for works in executed.values() for work in works),
-            key=lambda work: work.start,
-        )
-        cursor = 0
-        for work in merged:
-            if work.start != cursor:
-                raise RuntimeError(
-                    f"process merge lost coverage at tuple {cursor}: "
-                    f"next range starts at {work.start}"
-                )
-            cursor = work.end
-        if cursor != total_tuples:
-            raise RuntimeError(
-                f"process merge covers {cursor} of {total_tuples} tuples"
-            )
+    # -- where a run's data lives ---------------------------------------
+    @contextmanager
+    def output_arrays(
+        self, length: int, dtypes: Sequence[Any]
+    ) -> Iterator[List[np.ndarray]]:
+        """Shared output buffers, copied into private arrays on exit."""
+        arena = ShmArena()
+        try:
+            outputs = [arena.array(length, dtype) for dtype in dtypes]
+            yield outputs
+            outputs[:] = [np.array(out) for out in outputs]
+        finally:
+            arena.close()
+
+    def table_storage(self, table: Any) -> ContextManager[None]:
+        """Table storage in shared memory, so children's writes land."""
+        return table_storage_in_shm(table)
 
 
 def _child_main(
-    queue, worker: str, body: WorkerBody, ranges: List[WorkRange]
+    sender, worker: str, body: WorkerBody, ranges: List[WorkRange]
 ) -> None:
     """Forked-child entry: run the body, ship the summary (or the error)."""
     try:
-        summary = body(worker, ranges)
+        reply = (True, body(worker, ranges))
     except BaseException as exc:  # noqa: B036 - shipped to the parent
-        try:
-            queue.put((worker, False, exc))
-        except Exception:
-            queue.put((worker, False, f"{type(exc).__name__}: {exc}"))
-    else:
-        queue.put((worker, True, summary))
+        reply = (False, exc)
+    try:
+        sender.send(reply)
+    except Exception as exc:  # the summary or the exception does not pickle
+        ok, payload = reply
+        what = "summary" if ok else f"error {type(payload).__name__}: {payload}"
+        sender.send((False, f"unpicklable {what} ({exc})"))
+    finally:
+        sender.close()

@@ -12,10 +12,11 @@ failure:
   the placement logic, and the transfer methods; production paths pay
   ~zero overhead when no plan is active.
 * **Recovery** — :class:`RetryPolicy` bounds retry-with-backoff;
-  the morsel executor re-dispatches crashed workers' ranges and falls
-  back to a bit-identical serial replay as a last resort; the join
-  operators can degrade an out-of-memory placement to the hybrid
-  (GPU-first, CPU-spill) layout.
+  :func:`plan_assignment`, the one morsel recovery planner every
+  executor backend runs, retries transients in place, re-dispatches
+  crashed workers' ranges, and falls back to the calling thread as a
+  last resort; the join operators can degrade an out-of-memory
+  placement to the hybrid (GPU-first, CPU-spill) layout.
 * **Observability** — every injected fault and recovery action lands in
   a :class:`ResilienceLog`, serialized into the schema-versioned
   ``resilience`` section of the run manifest.
@@ -44,7 +45,9 @@ _LAZY = {
     "TransientKernelFault": "repro.faults.plan",
     "WorkerCrashFault": "repro.faults.plan",
     "DEFAULT_RETRY_POLICY": "repro.faults.recovery",
+    "MorselFailedError": "repro.faults.recovery",
     "RetryPolicy": "repro.faults.recovery",
+    "plan_assignment": "repro.faults.recovery",
     "CHAOS_SEEDS": "repro.faults.scenarios",
     "SERVING_CHAOS_SEEDS": "repro.faults.scenarios",
     "chaos_plan": "repro.faults.scenarios",

@@ -1,17 +1,18 @@
 """The resilience audit trail: recovery actions + manifest section.
 
 Every recovery action the execution layer takes — a retry, a re-dispatch
-of a crashed worker's range, a serial-replay fallback, a spill of the
+of a crashed worker's range, a fallback-worker takeover, a spill of the
 hash-table placement — is appended to a :class:`ResilienceLog`.  The log
 serializes (together with the active :class:`FaultPlan`'s injection
 records) into the schema-versioned ``resilience`` section of the run
 manifest, so chaos runs are diffable like any other run.
 
-Determinism note: the *counters* and the injected-fault records of a
-seeded plan are deterministic; the per-event worker attribution (which
-surviving worker picked up a re-dispatched range) depends on thread
-interleaving and is informational.  Events carry sequence numbers, never
-wall-clock timestamps.
+Determinism note: the morsel recovery actions of a seeded plan are
+decided by :func:`repro.faults.recovery.plan_assignment` before any
+worker runs, so the counters, the injected-fault records, and every
+event — worker attribution included — are deterministic and identical
+across the threads and processes backends.  Events carry sequence
+numbers, never wall-clock timestamps.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Active fault-plan registry — the zero-overhead injection switch.
 
-The fault hooks in :mod:`repro.exec.pool`, :mod:`repro.memory.allocator`,
+The fault hooks in :mod:`repro.exec.pool` (which hands the active plan
+to :func:`repro.faults.recovery.plan_assignment`), :mod:`repro.memory.allocator`,
 :mod:`repro.core.hashtable.placement`, and :mod:`repro.transfer.methods`
 all start with ``plan = active_plan(); if plan is None: ...`` — one
 module-global read on the production path.  The global is only ever set

@@ -7,8 +7,7 @@ a two-stage pipeline whose slowest stage takes ``T`` seconds in total is
 overlapped, and each chunk pays a dispatch latency.
 
 This is the canonical home of the arithmetic; the executor applies it
-to every phase carrying a ``chunked=`` attribute, and
-``repro.transfer.pipeline`` re-exports it for API compatibility.
+to every phase carrying a ``chunked=`` attribute.
 """
 
 from __future__ import annotations

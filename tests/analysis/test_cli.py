@@ -81,3 +81,33 @@ def test_list_rules(capsys):
         "simulated-coherence",
     ):
         assert rule in out
+
+
+def test_tree_under_a_scratch_directory_is_still_scanned(tmp_path, capsys):
+    # Default excludes match relative to the scan root: a tree that
+    # merely *lives* under a scratch directory is analyzed, not skipped.
+    src = tmp_path / "scratch" / "anl" / "src" / "repro" / "costmodel"
+    src.mkdir(parents=True)
+    (src / "bad_units.py").write_text(open(BAD_UNITS, encoding="utf-8").read())
+    code = main([str(tmp_path / "scratch" / "anl" / "src"), "--strict", "--no-baseline"])
+    out = capsys.readouterr().out
+    assert "1 file(s) scanned" in out
+    assert code == 1
+
+
+def test_scratch_directories_inside_the_scan_root_are_pruned(tmp_path, capsys):
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    (scratch / "bad_units.py").write_text(open(BAD_UNITS, encoding="utf-8").read())
+    (tmp_path / "good_units.py").write_text(open(GOOD_UNITS, encoding="utf-8").read())
+    code = main([str(tmp_path), "--no-baseline"])
+    assert "1 file(s) scanned" in capsys.readouterr().out
+    assert code == 0
+
+
+def test_zero_files_analyzed_exits_nonzero(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no python here\n")
+    code = main([str(tmp_path), "--strict", "--no-baseline"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "no Python files to analyze" in err

@@ -5,13 +5,15 @@ under ``tests/analysis/fixtures/`` are each detected by their pass, and
 idiomatic code in the same scope produces zero findings.
 """
 
+import os
+
 import pytest
 
 from repro.analysis import analyze_paths, get_passes
 from repro.analysis.passes import ALL_PASSES
 from repro.analysis.runner import analyze_source
 
-from tests.analysis.conftest import fixture_path
+from tests.analysis.conftest import REPO_ROOT, fixture_path
 
 BAD_FIXTURES = {
     "unit-safety": (fixture_path("costmodel", "bad_units.py"), 6),
@@ -238,3 +240,38 @@ def test_rule_registry_is_stable():
         # Every pass constrains where it applies: an inclusion scope,
         # or (executor-boundary) repo-wide with an exemption list.
         assert p.scope or getattr(p, "exempt", ())
+
+
+def _exec_copy(tmp_path, bypass):
+    """A copy of the shipped exec/ and faults/ packages; with ``bypass``
+    the thread executor deals ranges round-robin itself instead of
+    calling the shared recovery planner."""
+    import shutil
+
+    src = os.path.join(REPO_ROOT, "src", "repro")
+    root = tmp_path / "repro"
+    for package in ("exec", "faults"):
+        shutil.copytree(os.path.join(src, package), root / package)
+    pool = root / "exec" / "pool.py"
+    source = pool.read_text()
+    if bypass:
+        assert "plan_assignment(" in source
+        source = source.replace("plan_assignment(", "_round_robin(")
+        source += (
+            "\n\ndef _round_robin(ranges, workers, *_):\n"
+            "    return {w: list(ranges[i::len(workers)])"
+            " for i, w in enumerate(workers)}\n"
+        )
+        pool.write_text(source)
+    return str(root)
+
+
+def test_executor_bypassing_the_recovery_planner_is_flagged(tmp_path):
+    passes = get_passes(["fault-hook-coverage"])
+    clean = analyze_paths([_exec_copy(tmp_path / "clean", False)], passes=passes)
+    assert clean.findings == [], [str(f) for f in clean.findings]
+    report = analyze_paths([_exec_copy(tmp_path / "bypass", True)], passes=passes)
+    messages = [f.message for f in report.findings]
+    assert len(messages) == 1, messages
+    assert "MorselExecutor.run" in messages[0]
+    assert "plan_ranges" in messages[0]

@@ -5,7 +5,7 @@ every operator, scheme, shard count, and worker count, the forked
 backend produces the same functional results, the same ``TableStats``,
 the same priced phase costs, and the same metric snapshots as the
 serial path — plus the resilience semantics (retry, re-dispatch,
-serial fallback) and shared-memory hygiene specific to processes.
+fallback) and shared-memory hygiene specific to processes.
 """
 
 import os
@@ -212,7 +212,7 @@ def chaos_executor(workers=3, max_attempts=4):
 
 
 class TestResilience:
-    """Parent-side fault replay mirrors the thread pool's semantics."""
+    """The shared recovery plan, executed by forked children."""
 
     def run_with_plan(self, plan, executor):
         keys, values, probe = table_workload()
@@ -264,18 +264,6 @@ class TestResilience:
             self.run_with_plan(plan, executor)
         assert info.value.attempts == 3
 
-    def test_serial_fallback_can_be_disabled(self):
-        executor = ProcessExecutor(
-            workers=2,
-            morsel_tuples=512,
-            name="t",
-            retry=RetryPolicy(max_attempts=4),
-            serial_fallback=False,
-        )
-        plan = FaultPlan(13, [CrashWorker(worker=None, ordinal=0, times=2)])
-        with pytest.raises(RuntimeError, match="serial_fallback"):
-            self.run_with_plan(plan, executor)
-
     def test_child_exception_propagates_to_parent(self):
         executor = ProcessExecutor(workers=2, morsel_tuples=64, name="boom")
 
@@ -286,6 +274,28 @@ class TestResilience:
 
         with pytest.raises(ValueError, match="kernel exploded"):
             executor.run(256, body)
+
+    def test_child_death_without_result_raises(self):
+        executor = ProcessExecutor(workers=2, morsel_tuples=64, name="dead")
+
+        def body(worker, ranges):
+            if worker == "dead-w1":
+                os._exit(3)
+            return worker
+
+        with pytest.raises(RuntimeError, match="exit code 3") as info:
+            executor.run(256, body)
+        assert info.value.failed_worker == "dead-w1"
+
+    def test_summary_larger_than_the_pipe_buffer_is_received(self):
+        executor = ProcessExecutor(workers=2, morsel_tuples=64, name="big")
+        summaries = executor.run(256, lambda worker, ranges: bytes(1 << 20))
+        assert {len(s) for s in summaries.values()} == {1 << 20}
+
+    def test_unpicklable_summary_is_reported(self):
+        executor = ProcessExecutor(workers=1, morsel_tuples=64, name="np")
+        with pytest.raises(RuntimeError, match="unpicklable summary"):
+            executor.run(64, lambda worker, ranges: lambda: None)
 
 
 class TestValidation:

@@ -1,10 +1,11 @@
-"""Executor recovery: retries, re-dispatch, abort protocol, fallback.
+"""Executor recovery: retries, re-dispatch, fallback, genuine errors.
 
-The regression this file guards: killing a worker mid-ordered-build used
-to strand its peers forever inside the sequencer (they waited for a
-range that would never be applied).  Every test runs the pool in a
-helper thread with a hard join timeout so a reintroduced deadlock fails
-the test instead of hanging the suite.
+The threads executor runs the shared recovery planner's assignment
+(``repro.faults.recovery.plan_assignment``); these tests check the
+recovery a body observes — which ranges reach which worker — and that
+no pool thread outlives a run.  Every test runs the pool in a helper
+thread with a hard join timeout so a reintroduced hang fails the test
+instead of hanging the suite.
 """
 
 import threading
@@ -12,13 +13,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.exec import (
-    AbortedError,
-    MorselExecutor,
-    MorselFailedError,
-    execute_build,
-)
-from repro.exec.pool import _Sequencer
+from repro.exec import MorselExecutor, MorselFailedError, execute_build
 from repro.faults import (
     CrashWorker,
     FaultPlan,
@@ -50,9 +45,16 @@ def run_with_timeout(fn, timeout=DRAIN_TIMEOUT):
     return box["value"]
 
 
-def identity_starts(total, executor, ordered=False):
-    outcomes = executor.run(total, lambda work, worker: work.start, ordered=ordered)
-    return [o.work.start for o in outcomes], outcomes
+def identity_starts(total, executor):
+    """Run an identity body; return sorted range starts and the
+    ``{range start: worker}`` map of who ran what."""
+    summaries = executor.run(
+        total, lambda worker, ranges: [work.start for work in ranges]
+    )
+    runner = {
+        start: worker for worker, starts in summaries.items() for start in starts
+    }
+    return sorted(runner), runner
 
 
 class TestRetry:
@@ -62,7 +64,7 @@ class TestRetry:
         plan = FaultPlan(seed=1, rules=[TransientError(probability=0.4, times=3)])
         with plan.install():
             starts, _ = run_with_timeout(lambda: identity_starts(64 * 20, executor))
-        assert starts == sorted(starts)
+        assert starts == list(range(0, 64 * 20, 64))
         assert plan.injected_counts().get("transient", 0) == 3
         assert log.count("retry") == 3
 
@@ -82,8 +84,8 @@ class TestRetry:
         assert err.attempts == 2
         assert f"[{err.work.start}, {err.work.end})" in str(err)
         assert err.worker.startswith("exec-w")
-        # No stranded threads: only this test thread (+ pytest internals)
-        # may hold executor state; all pool workers exited.
+        # No stranded threads: the failure is decided before any pool
+        # thread starts.
         assert not [
             t for t in threading.enumerate() if t.name.startswith("exec-w")
         ]
@@ -103,7 +105,7 @@ class TestRedispatch:
         executor = MorselExecutor(workers=4, morsel_tuples=64, resilience=log)
         plan = FaultPlan(seed=2, rules=[CrashWorker(worker="exec-w0", ordinal=1)])
         with plan.install():
-            starts, outcomes = run_with_timeout(
+            starts, runner = run_with_timeout(
                 lambda: identity_starts(64 * 40, executor)
             )
         assert starts == list(range(0, 64 * 40, 64))
@@ -111,10 +113,8 @@ class TestRedispatch:
         assert plan.injected_counts() == {"crash": 1}
         # The re-dispatched range ran on some *other* worker.
         (event,) = [e for e in log.events if e.action == "redispatch"]
-        runner = next(
-            o.worker for o in outcomes if o.work.start == event.detail["start"]
-        )
-        assert runner != "exec-w0"
+        assert runner[event.detail["start"]] != "exec-w0"
+        assert runner[event.detail["start"]] == event.detail["worker"]
 
     def test_all_workers_dead_falls_back_to_serial_replay(self):
         log = ResilienceLog()
@@ -130,119 +130,58 @@ class TestRedispatch:
             seed=3, rules=[CrashWorker(worker=None, ordinal=0, times=3)]
         )
         with plan.install():
-            starts, outcomes = run_with_timeout(
+            starts, runner = run_with_timeout(
                 lambda: identity_starts(64 * 20, executor)
             )
         assert starts == list(range(0, 64 * 20, 64))
         assert log.count("serial_fallback") == 1
-        assert {o.worker for o in outcomes} == {"exec-fallback"}
-
-    def test_serial_fallback_can_be_disabled(self):
-        executor = MorselExecutor(
-            workers=2, morsel_tuples=64, serial_fallback=False
-        )
-        plan = FaultPlan(
-            seed=3, rules=[CrashWorker(worker=None, ordinal=0, times=2)]
-        )
-        with plan.install():
-            with pytest.raises(RuntimeError, match="serial_fallback is disabled"):
-                run_with_timeout(lambda: identity_starts(64 * 20, executor))
+        assert set(runner.values()) == {"exec-fallback"}
 
 
-class TestOrderedAbort:
-    """The satellite regression: crash mid-ordered-build, nobody strands."""
+class TestChainingBuild:
+    """Unsharded chaining builds apply morsels one at a time, so the
+    threads backend builds them serially — bit-identical to serial."""
 
-    def test_kill_worker0_mid_ordered_build_still_builds_correctly(self):
+    @staticmethod
+    def build(executor):
         from repro.core.hashtable import create_hash_table
 
         n = 64 * 40
-        keys = np.arange(n, dtype=np.int64)
-        payloads = keys * 3
-        log = ResilienceLog()
-        executor = MorselExecutor(workers=4, morsel_tuples=64, resilience=log)
-        # Chaining builds apply morsels through the sequencer (ordered),
-        # so a crashed worker forces the degrade-to-serial protocol.
-        table = create_hash_table("chaining", n, keys.dtype, payloads.dtype)
+        rng = np.random.default_rng(4)
+        keys = rng.permutation(4 * n)[:n].astype(np.int64)
+        table = create_hash_table("chaining", n, keys.dtype, keys.dtype)
+        execute_build(table, keys, keys * 3, executor)
+        return table
+
+    def test_threads_chaining_build_is_bit_identical_to_serial(self):
+        serial = self.build(None)
+        executor = MorselExecutor(workers=4, morsel_tuples=64)
         plan = FaultPlan(seed=4, rules=[CrashWorker(worker="exec-w0", ordinal=2)])
         with plan.install():
-            run_with_timeout(lambda: execute_build(table, keys, payloads, executor))
-        # Degraded to serial replay, but the table is complete and correct.
-        assert log.count("serial_fallback") == 1
-        found, values = table.lookup_batch(keys)
-        assert found.all()
-        assert np.array_equal(values, payloads)
-        assert not [
-            t for t in threading.enumerate() if t.name.startswith("exec-w")
-        ]
-
-    def test_ordered_crash_applies_no_range_twice_or_out_of_order(self):
-        applied = []
-        apply_lock = threading.Lock()
-
-        def task(work, worker):
-            with apply_lock:
-                applied.append(work.start)
-
-        log = ResilienceLog()
-        executor = MorselExecutor(workers=4, morsel_tuples=64, resilience=log)
-        plan = FaultPlan(
-            seed=5, rules=[CrashWorker(worker=None, ordinal=3, times=2)]
-        )
-        with plan.install():
-            run_with_timeout(
-                lambda: executor.run(64 * 30, task, ordered=True)
-            )
-        assert applied == sorted(applied)
-        assert applied == list(range(0, 64 * 30, 64))
-
-    def test_sequencer_abort_wakes_every_waiter(self):
-        seq = _Sequencer()
-        results = []
-
-        def wait_for(start):
-            try:
-                seq.run_in_order(start, start + 1, lambda: None)
-            except AbortedError:
-                results.append(start)
-
-        waiters = [
-            threading.Thread(target=wait_for, args=(s,), daemon=True)
-            for s in (5, 9, 13)  # none of these is next (next == 0)
-        ]
-        for t in waiters:
-            t.start()
-        seq.abort()
-        for t in waiters:
-            t.join(DRAIN_TIMEOUT)
-        assert not any(t.is_alive() for t in waiters)
-        assert sorted(results) == [5, 9, 13]
-
-    def test_sequencer_never_advances_past_a_failed_range(self):
-        seq = _Sequencer()
-        seq.run_in_order(0, 10, lambda: None)
-        with pytest.raises(ValueError):
-            seq.run_in_order(10, 20, self._boom)
-        assert seq.applied_through == 10
-        with pytest.raises(AbortedError):
-            seq.run_in_order(20, 30, lambda: None)
-
-    @staticmethod
-    def _boom():
-        raise ValueError("mid-apply failure")
+            threaded = run_with_timeout(lambda: self.build(executor))
+        for attr in ("keys", "values", "heads", "next"):
+            assert np.array_equal(getattr(threaded, attr), getattr(serial, attr))
+        assert threaded.stats.as_tuple() == serial.stats.as_tuple()
+        assert threaded.size == serial.size
+        # The serial build never visits a morsel fault site.
+        assert plan.injected_counts() == {}
 
 
 class TestGenuineErrors:
     def test_non_injected_exception_propagates_with_failed_range(self):
         executor = MorselExecutor(workers=4, morsel_tuples=64)
+        holder = {}
 
-        def boom(work, worker):
-            if work.start == 64 * 7:
-                raise ZeroDivisionError("genuine bug")
+        def boom(worker, ranges):
+            for work in ranges:
+                if work.start == 64 * 7:
+                    holder["worker"] = worker
+                    raise ZeroDivisionError("genuine bug")
 
         with pytest.raises(ZeroDivisionError) as info:
             run_with_timeout(lambda: executor.run(64 * 20, boom))
-        assert info.value.failed_work.start == 64 * 7
-        assert info.value.failed_worker.startswith("exec-w")
+        # The failing range's owner is named on the exception.
+        assert info.value.failed_worker == holder["worker"] == "exec-w3"
 
     def test_retries_do_not_mask_genuine_bugs(self):
         # A genuine exception must not be retried even under a plan that
@@ -250,10 +189,11 @@ class TestGenuineErrors:
         calls = []
         executor = MorselExecutor(workers=2, morsel_tuples=64)
 
-        def boom(work, worker):
-            if work.start == 0:
-                calls.append(work.start)
-                raise KeyError("not transient")
+        def boom(worker, ranges):
+            for work in ranges:
+                if work.start == 0:
+                    calls.append(work.start)
+                    raise KeyError("not transient")
 
         plan = FaultPlan(seed=6, rules=[TransientError(probability=0.0)])
         with plan.install():

@@ -175,3 +175,42 @@ class TestTraceStress:
         for span in inner:
             index = span.label.split("-")[1]
             assert span.parent == f"outer-{index}"
+
+
+class TestExecutorStress:
+    def test_many_threads_fill_disjoint_slices_exactly(self):
+        import sys
+
+        from repro.core.hashtable import create_hash_table
+        from repro.exec import MorselExecutor, execute_build, execute_probe
+
+        rng = np.random.default_rng(11)
+        keys = rng.permutation(40_000)[:10_000].astype(np.int64)
+        probe = rng.integers(0, 40_000, size=30_000).astype(np.int64)
+
+        def run(executor):
+            table = create_hash_table("perfect", 40_000, keys.dtype, keys.dtype)
+            execute_build(table, keys, keys * 3, executor)
+            found, values = execute_probe(table, probe, executor)
+            return found, values, table.stats.as_tuple(), table.size
+
+        serial = run(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force frequent thread switches
+        try:
+            box = {}
+            worker = threading.Thread(
+                target=lambda: box.update(
+                    result=run(MorselExecutor(workers=N_THREADS, morsel_tuples=97))
+                ),
+                daemon=True,
+            )
+            worker.start()
+            worker.join(60.0)
+            assert not worker.is_alive(), "executor failed to drain"
+        finally:
+            sys.setswitchinterval(interval)
+        parallel = box["result"]
+        assert np.array_equal(parallel[0], serial[0])
+        assert np.array_equal(parallel[1], serial[1])
+        assert parallel[2:] == serial[2:]

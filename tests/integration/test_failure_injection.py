@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.hashtable.open_addressing import OpenAddressingHashTable
 from repro.core.hashtable.perfect import PerfectHashTable
 from repro.core.join.nopa import NoPartitioningJoin
-from repro.exec import MorselExecutor, MorselFailedError
+from repro.exec import MorselExecutor, MorselFailedError, execute_masks
 from repro.faults import (
     CHAOS_SEEDS,
     CrashWorker,
@@ -314,10 +314,10 @@ class TestChaosProperty:
             ],
         )
         with plan.install():
-            parts = executor.map_values(
-                total, lambda work, worker: data[work.start : work.end] * 2
+            (doubled,) = execute_masks(
+                total, [lambda start, end: data[start:end] * 2], executor
             )
-        assert np.array_equal(np.concatenate(parts), expected)
+        assert np.array_equal(doubled, expected)
         # Accounting: every injected morsel fault is answered by exactly
         # one recovery action.
         counts = plan.injected_counts()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from repro.core.scheduler.morsel import MorselDispatcher
 from repro.sim.engine import Simulator
 from repro.sim.resources import solve_concurrent_rates
-from repro.transfer.pipeline import chunk_sizes, pipeline_makespan
+from repro.plan.overlap import chunk_sizes, pipeline_makespan
 
 
 class TestDispatcherProperties:

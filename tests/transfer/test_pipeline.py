@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.transfer.pipeline import chunk_sizes, iter_chunks, pipeline_makespan
+from repro.plan.overlap import chunk_sizes, iter_chunks, pipeline_makespan
 
 
 class TestChunkSizes:
