@@ -156,21 +156,6 @@ class AnalysisCache:
                     stack.append(importer)
         return dirty
 
-    def dependency_closure(self, roots: Set[str]) -> Set[str]:
-        """``roots`` plus everything they transitively import (cached)."""
-        out = set(roots)
-        stack = list(roots)
-        while stack:
-            current = stack.pop()
-            entry = self.entries.get(current)
-            if entry is None:
-                continue
-            for dep in entry.deps:
-                if dep not in out:
-                    out.add(dep)
-                    stack.append(dep)
-        return out
-
 
 # -- lightweight import extraction -------------------------------------------
 #
@@ -187,23 +172,30 @@ def import_targets(tree: ast.Module, module_name: str) -> List[str]:
 
     def visit(stmts: Sequence[ast.stmt]) -> None:
         for node in stmts:
-            if isinstance(node, ast.Import):
-                targets.extend(alias.name for alias in node.names)
-            elif isinstance(node, ast.ImportFrom):
-                base = _import_base(node, module_name)
-                for alias in node.names:
-                    if alias.name == "*":
-                        if base:
-                            targets.append(base)
-                        continue
-                    targets.append(
-                        f"{base}.{alias.name}" if base else alias.name
-                    )
-            elif isinstance(node, (ast.If, ast.Try)):
+            if isinstance(node, (ast.If, ast.Try)):
                 visit([s for s in ast.iter_child_nodes(node)
                        if isinstance(s, ast.stmt)])
+            else:
+                targets.extend(_statement_targets(node, module_name))
 
     visit(tree.body)
+    return targets
+
+
+def _statement_targets(node: ast.AST, module_name: str) -> List[str]:
+    """Dotted targets of one ``import`` statement (else empty)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = _import_base(node, module_name)
+    targets: List[str] = []
+    for alias in node.names:
+        if alias.name == "*":
+            if base:
+                targets.append(base)
+            continue
+        targets.append(f"{base}.{alias.name}" if base else alias.name)
     return targets
 
 
@@ -211,6 +203,7 @@ def _import_base(node: ast.ImportFrom, module_name: str) -> str:
     if not node.level:
         return node.module or ""
     parts = module_name.split(".")
+    # level 1 = current package (module name minus the leaf).
     keep = len(parts) - node.level
     base = ".".join(parts[:keep]) if keep > 0 else ""
     if node.module:

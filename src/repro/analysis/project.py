@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.base import ModuleContext
+from repro.analysis.cache import _import_base, _statement_targets
 
 #: threading primitives that *are* locks (acquiring via ``with``).
 LOCK_TYPES = {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore"}
@@ -359,18 +360,24 @@ class ProjectContext:
                 out.update(self.transitive_callees(entry))
         return frozenset(out)
 
-    # -- file-dependency graph (for the incremental cache) ---------------
+    # -- file-dependency graph -------------------------------------------
     def file_dependencies(self) -> Dict[str, Set[str]]:
-        """posix path -> set of scanned posix paths it imports."""
+        """posix path -> set of scanned posix paths it imports.
+
+        Every import statement counts, including the lazy ones inside
+        function bodies that :attr:`ModuleInfo.imports` (module-level
+        bindings only) leaves out.
+        """
         deps: Dict[str, Set[str]] = {}
         for info in self.modules.values():
             targets: Set[str] = set()
-            for dotted in info.imports.values():
-                target = self.resolve_module(dotted)
-                if target is None and "." in dotted:
-                    target = self.resolve_module(dotted.rpartition(".")[0])
-                if target is not None and target.path != info.path:
-                    targets.add(target.path)
+            for node in ast.walk(info.ctx.tree):
+                for dotted in _statement_targets(node, info.name):
+                    target = self.resolve_module(dotted)
+                    if target is None and "." in dotted:
+                        target = self.resolve_module(dotted.rpartition(".")[0])
+                    if target is not None and target.path != info.path:
+                        targets.add(target.path)
             deps[info.path] = targets
         return deps
 
@@ -418,7 +425,7 @@ class _ModuleCollector:
                 local = alias.asname or alias.name.split(".")[0]
                 self.info.imports[local] = alias.name
         elif isinstance(node, ast.ImportFrom):
-            base = self._import_base(node)
+            base = _import_base(node, self.info.name)
             for alias in node.names:
                 if alias.name == "*":
                     continue
@@ -452,17 +459,6 @@ class _ModuleCollector:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, ast.stmt):
                     self._top_level(child)
-
-    def _import_base(self, node: ast.ImportFrom) -> str:
-        if not node.level:
-            return node.module or ""
-        parts = self.info.name.split(".")
-        # level 1 = current package (module name minus the leaf).
-        keep = len(parts) - node.level
-        base = ".".join(parts[:keep]) if keep > 0 else ""
-        if node.module:
-            base = f"{base}.{node.module}" if base else node.module
-        return base
 
     def _collect_class(self, node: ast.ClassDef) -> None:
         cls = ClassInfo(

@@ -18,16 +18,16 @@ cost model with the configured transfer method and hash-table placement:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.costmodel.access import Stream
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.hashtable import create_hash_table
 from repro.core.hashtable.base import HashTableBase
 from repro.core.hashtable.placement import HashTablePlacement, place_hash_table
+from repro.core.ops.selection import LINE_BYTES, line_any
 from repro.data.relation import Relation
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
@@ -48,19 +48,12 @@ from repro.logical.lower import (
     CPU_BUILD_ACCESSES,
     PhysicalConfig,
     compile_query,
-    join_build_phase,
-    join_probe_phase,
-    table_streams,
 )
 from repro.logical.stats import JoinStats, TableProfile
 from repro.memory.allocator import OutOfMemoryError
 from repro.obs import Observability
-from repro.plan import PhaseSpec, Plan, PlanExecutor, ingest
+from repro.plan import Plan, PlanExecutor
 from repro.utils.units import MIB
-
-#: coherence/cache-line granularity used for payload-column line skipping.
-LINE_BYTES = 128
-
 
 def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
     """Fraction of payload-column cache lines with at least one match.
@@ -70,19 +63,8 @@ def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
     matches (Section 7.2.9: "at 10% selectivity, 81.5% of values are
     loaded").
     """
-    n = len(match_mask)
-    if n == 0:
-        return 0.0
-    per_line = max(1, LINE_BYTES // payload_bytes)
-    full_lines = n // per_line
-    if full_lines == 0:
-        return float(match_mask.any())
-    head = match_mask[: full_lines * per_line].reshape(full_lines, per_line)
-    line_hits = head.any(axis=1).sum()
-    tail = match_mask[full_lines * per_line :]
-    lines = full_lines + (1 if len(tail) else 0)
-    line_hits += 1 if (len(tail) and tail.any()) else 0
-    return float(line_hits / lines)
+    lines = line_any(match_mask, max(1, LINE_BYTES // payload_bytes))
+    return float(lines.mean()) if len(lines) else 0.0
 
 
 @dataclass
@@ -301,34 +283,6 @@ class NoPartitioningJoin:
             gpu_reserve=self.gpu_reserve,
         )
 
-    def _ingest(self, processor: str, relation: Relation, nbytes: float, label: str):
-        """Shared ingest glue: streams + chunked overlap for one input."""
-        return ingest(
-            self.cost_model,
-            self.transfer_method,
-            processor,
-            relation.location,
-            nbytes,
-            label,
-            kind=relation.kind,
-        )
-
-    def _table_streams(
-        self,
-        processor: str,
-        placement: HashTablePlacement,
-        accesses: float,
-        access_bytes: float,
-        atomic: bool,
-        hot_set: Optional[HotSetProfile],
-        label: str,
-    ) -> List[Stream]:
-        """Hash-table traffic split across the placement's regions."""
-        return table_streams(
-            processor, placement, accesses, access_bytes, atomic, hot_set,
-            label,
-        )
-
     def _physical_config(
         self, processor: str, placement: HashTablePlacement
     ) -> PhysicalConfig:
@@ -361,49 +315,6 @@ class NoPartitioningJoin:
             matches=matches,
             model_factor=s.model_factor,
             hot_set=hot_set,
-        )
-
-    def build_phase(
-        self,
-        r: Relation,
-        processor: str,
-        table: HashTableBase,
-        placement: HashTablePlacement,
-    ) -> PhaseSpec:
-        """The build phase at modeled scale, as a plan node."""
-        return join_build_phase(
-            self.cost_model,
-            self.transfer_method,
-            r,
-            processor,
-            TableProfile.from_table(table, r.modeled_tuples),
-            placement,
-        )
-
-    def probe_phase(
-        self,
-        s: Relation,
-        processor: str,
-        table: HashTableBase,
-        placement: HashTablePlacement,
-        lines_loaded: float,
-        hot_set: Optional[HotSetProfile],
-        matches: int = 0,
-    ) -> PhaseSpec:
-        """The probe phase at modeled scale, as a plan node."""
-        return join_probe_phase(
-            self.cost_model,
-            self.transfer_method,
-            s,
-            processor,
-            TableProfile.from_table(table, s.modeled_tuples),
-            placement,
-            lines_loaded,
-            hot_set,
-            layout=self.layout,
-            output=self.output,
-            matches=matches,
-            model_factor=s.model_factor,
         )
 
     def logical_query(self, r: Relation, s: Relation) -> Query:

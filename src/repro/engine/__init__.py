@@ -15,6 +15,9 @@ Operators::
                         build_key="k", probe_key="fk")
     result = collect(HashAggregate(joined, group_by=(),
                                    aggregates={"total": ("v", "sum")}))
+
+The logical-plan interpreter that lowers a query onto these operators
+(``run_pipeline``, ``to_operators``) lives in :mod:`repro.logical`.
 """
 
 from repro.engine.operators import (
@@ -43,17 +46,5 @@ __all__ = [
     "TopK",
     "TableScan",
     "collect",
-    "run_pipeline",
-    "to_operators",
 ]
 
-
-def __getattr__(name):
-    # Lazy re-export of the logical-plan interpreter entry points
-    # (repro.logical.interpret imports repro.engine.operators, so a
-    # top-level import here would be circular).
-    if name in ("run_pipeline", "to_operators"):
-        from repro.logical import interpret
-
-        return getattr(interpret, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,15 +9,12 @@ golden harness pins that the pair stays consistent.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.engine import operators as ops
 from repro.logical.algebra import (
     Aggregate,
     Filter,
     HashJoin,
     LogicalError,
-    LogicalNode,
     Project,
     Query,
     Scan,

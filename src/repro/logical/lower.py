@@ -18,10 +18,8 @@ PR-3 golden-equivalence harness passing bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from repro.costmodel.access import (
     AccessProfile,

@@ -28,11 +28,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.obs import Observability
-from repro.obs.manifest import phase_record
 from repro.obs.trace import Timeline
 from repro.plan.overlap import pipeline_makespan
 from repro.plan.spec import PhaseKind, PhaseSpec, Plan, PlanError
@@ -89,10 +88,6 @@ class PlanResult:
     def phase_costs(self) -> List[PhaseCost]:
         """Per-phase costs in execution order (manifest input)."""
         return [o.cost for o in self.outcomes.values()]
-
-    def phase_records(self) -> List[Dict[str, Any]]:
-        """JSON-ready manifest entries, one per executed phase."""
-        return [phase_record(cost) for cost in self.phase_costs()]
 
 
 class PlanExecutor:

@@ -1,4 +1,4 @@
-"""Shared utilities: units, statistics, and table rendering."""
+"""Shared utilities: units and table rendering."""
 
 from repro.utils.units import (
     KIB,
@@ -15,13 +15,6 @@ from repro.utils.units import (
     format_time,
     format_throughput,
     gib_per_s,
-)
-from repro.utils.stats import (
-    RunStats,
-    geometric_mean,
-    harmonic_mean,
-    mean,
-    standard_error,
 )
 from repro.utils.tables import Table
 
@@ -40,10 +33,5 @@ __all__ = [
     "format_time",
     "format_throughput",
     "gib_per_s",
-    "RunStats",
-    "geometric_mean",
-    "harmonic_mean",
-    "mean",
-    "standard_error",
     "Table",
 ]

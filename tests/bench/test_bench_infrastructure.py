@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench.common import FigureResult, SeriesRow
+from repro.bench.common import FigureResult
 from repro.bench.report import deviation_stats, figure_section, markdown_table
 from repro.obs.explain import explain, explain_join, utilization
 from repro.costmodel.model import PhaseCost

@@ -6,7 +6,6 @@ import pytest
 from repro.hardware.memory import MemoryKind
 from repro.memory.allocator import OutOfMemoryError
 from repro.storage import Catalog, TableExistsError
-from repro.utils.units import GIB
 
 
 def columns(n=100):

@@ -9,7 +9,7 @@ from repro.core.join.nopa import (
     payload_line_fraction,
 )
 from repro.memory.allocator import OutOfMemoryError
-from repro.workloads.builders import workload_a, workload_selectivity
+from repro.workloads.builders import workload_selectivity
 
 SCALE = 2.0**-14
 

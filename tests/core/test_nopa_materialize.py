@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.join.nopa import NoPartitioningJoin
-from repro.workloads.builders import workload_a, workload_selectivity
+from repro.workloads.builders import workload_selectivity
 
 SCALE = 2.0**-14
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
-from repro.workloads.builders import workload_a, workload_selectivity
+from repro.workloads.builders import workload_selectivity
 
 SCALE = 2.0**-14
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 from repro.core.hashtable import create_hash_table
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.ops.q6 import TpchQ6
-from repro.core.ops.scan import Predicate, SelectionScan
-from repro.exec import MorselExecutor, execute_build, execute_probe
+from repro.core.ops.selection import selection_line_fractions
+from repro.exec import MorselExecutor, execute_build, execute_masks, execute_probe
 from repro.hardware.topology import ibm_ac922
 from repro.workloads.builders import workload_a
 from repro.workloads.tpch import lineitem_q6
@@ -133,37 +133,20 @@ def test_q6_equivalence(machine):
         assert parallel.column_line_fractions == serial.column_line_fractions
 
 
-def test_selection_scan_equivalence(machine):
+def test_selection_scan_equivalence():
+    """A two-column predicate cascade: threads(4) masks equal serial's."""
     rng = np.random.default_rng(5)
-    columns = {
-        "a": rng.integers(0, 100, 100_000).astype(np.int32),
-        "b": rng.random(100_000).astype(np.float32),
-    }
-    predicates = [
-        Predicate("a", lambda c: c < 40),
-        Predicate("b", lambda c: c > 0.5),
-    ]
-
-    def total_b(cols):
-        return float(cols["b"].sum())
-
-    serial = SelectionScan(
-        machine, predicates, ["b"], total_b, variant="branching"
-    ).run(columns)
-    parallel = SelectionScan(
-        machine,
-        predicates,
-        ["b"],
-        total_b,
-        variant="branching",
-        backend="threads",
-        workers=4,
-        exec_morsel_tuples=1 << 12,
-    ).run(columns)
-    assert parallel.aggregate == serial.aggregate
-    assert parallel.qualifying_rows == serial.qualifying_rows
-    assert parallel.cost.seconds == serial.cost.seconds
-    assert parallel.column_line_fractions == serial.column_line_fractions
+    a = rng.integers(0, 100, 100_000).astype(np.int32)
+    b = rng.random(100_000).astype(np.float32)
+    evaluators = [lambda s, e: a[s:e] < 40, lambda s, e: b[s:e] > 0.5]
+    serial = execute_masks(len(a), evaluators)
+    parallel = execute_masks(
+        len(a), evaluators, MorselExecutor(workers=4, morsel_tuples=1 << 12)
+    )
+    for want, got in zip(serial, parallel):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+    assert selection_line_fractions(parallel) == selection_line_fractions(serial)
 
 
 @settings(max_examples=25, deadline=None)

@@ -16,7 +16,6 @@ import pytest
 from repro.core.hashtable import create_hash_table
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.ops.q6 import TpchQ6
-from repro.core.ops.scan import Predicate, SelectionScan
 from repro.exec import (
     ProcessExecutor,
     execute_build,
@@ -169,36 +168,18 @@ class TestOperatorEquivalence:
         assert parallel.qualifying_rows == serial.qualifying_rows
         assert parallel.cost.seconds == serial.cost.seconds
 
-    def test_selection_scan_matches_serial(self, machine):
+    def test_selection_scan_matches_serial(self):
+        """A two-column predicate cascade: processes(3) masks equal serial's."""
         rng = np.random.default_rng(5)
-        columns = {
-            "a": rng.integers(0, 100, 50_000).astype(np.int32),
-            "b": rng.random(50_000).astype(np.float32),
-        }
-        predicates = [
-            Predicate("a", lambda c: c < 40),
-            Predicate("b", lambda c: c > 0.5),
-        ]
-
-        def total_b(cols):
-            return float(cols["b"].sum())
-
-        serial = SelectionScan(
-            machine, predicates, ["b"], total_b, variant="branching"
-        ).run(columns)
-        parallel = SelectionScan(
-            machine,
-            predicates,
-            ["b"],
-            total_b,
-            variant="branching",
-            backend="processes",
-            workers=3,
-            exec_morsel_tuples=1 << 12,
-        ).run(columns)
-        assert parallel.aggregate == serial.aggregate
-        assert parallel.qualifying_rows == serial.qualifying_rows
-        assert parallel.cost.seconds == serial.cost.seconds
+        a = rng.integers(0, 100, 50_000).astype(np.int32)
+        b = rng.random(50_000).astype(np.float32)
+        evaluators = [lambda s, e: a[s:e] < 40, lambda s, e: b[s:e] > 0.5]
+        serial = execute_masks(len(a), evaluators)
+        executor = ProcessExecutor(workers=3, morsel_tuples=1 << 12)
+        parallel = execute_masks(len(a), evaluators, executor)
+        for want, got in zip(serial, parallel):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 def chaos_executor(workers=3, max_attempts=4):

@@ -1,7 +1,5 @@
 """NUMA distance queries."""
 
-import pytest
-
 from repro.hardware.numa import distance_matrix, memories_by_distance, render_matrix
 from repro.utils.units import GIB
 

@@ -15,7 +15,7 @@ from repro.hardware.specs import (
     XEON_6126,
     theoretical_vs_measured,
 )
-from repro.utils.units import GIB, NS
+from repro.utils.units import GIB
 
 
 class TestFigure3Numbers:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.hardware.specs import NVLINK2, POWER9, V100_SXM2
-from repro.hardware.topology import Machine, TopologyError, ibm_ac922, intel_xeon_v100
+from repro.hardware.topology import Machine, TopologyError, ibm_ac922
 
 
 class TestAc922:

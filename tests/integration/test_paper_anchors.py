@@ -7,8 +7,6 @@ tolerance class assigned to it — so a calibration change that silently
 breaks a reproduced figure fails CI.
 """
 
-import pytest
-
 from repro.bench import (
     fig12_transfer_methods,
     fig14_hashtable_locality,

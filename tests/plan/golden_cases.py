@@ -21,7 +21,6 @@ from repro.core.join.multiway import Dimension, StarJoin
 from repro.core.join.nopa import NoPartitioningJoin
 from repro.core.join.radix import RadixJoin
 from repro.core.ops.q6 import TpchQ6
-from repro.core.ops.scan import Predicate, SelectionScan
 from repro.data.relation import Relation
 from repro.hardware.topology import ibm_ac922, intel_xeon_v100
 from repro.workloads.builders import workload_a, workload_b
@@ -226,33 +225,6 @@ def q6_predicated_cpu() -> Dict[str, Any]:
     return _q6("predicated", "cpu0")
 
 
-def scan_branching_gpu() -> Dict[str, Any]:
-    rng = np.random.default_rng(99)
-    n = 8192
-    columns = {
-        "a": np.sort(rng.integers(0, 1000, size=n)).astype(np.int32),
-        "b": rng.integers(0, 100, size=n).astype(np.int32),
-        "v": rng.random(n).astype(np.float32),
-    }
-    scan = SelectionScan(
-        ibm_ac922(),
-        predicates=[
-            Predicate("a", lambda col: (col >= 100) & (col < 300), "a-range"),
-            Predicate("b", lambda col: col < 10, "b-lt"),
-        ],
-        aggregate_columns=["v"],
-        aggregate=lambda cols: float(cols["v"].sum()),
-        variant="branching",
-    )
-    result = scan.run(columns, processor="gpu0", modeled_rows=n * 128)
-    return {
-        "aggregate": result.aggregate,
-        "qualifying_rows": result.qualifying_rows,
-        "cost": _cost(result.cost),
-        "column_line_fractions": list(result.column_line_fractions),
-    }
-
-
 #: name -> builder; iteration order is the recording order.
 CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "nopa_gpu_coherence": nopa_gpu_coherence,
@@ -269,7 +241,6 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "q6_branching_gpu": q6_branching_gpu,
     "q6_predicated_gpu": q6_predicated_gpu,
     "q6_predicated_cpu": q6_predicated_cpu,
-    "scan_branching_gpu": scan_branching_gpu,
 }
 
 

@@ -5,7 +5,6 @@ whole-array numpy expression, for any data and any morsel size.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
