@@ -19,8 +19,8 @@ and let ``repro.logical.lower.compile_query`` assemble the plan, so
 the optimizer can enumerate alternatives for anything an operator can
 run.  A hand-built ``Plan(...)`` outside ``repro.logical`` /
 ``repro.plan`` escapes that search space; the pass flags it, and the
-pipelines not yet migrated (radix, multi-GPU, scan fallback) are
-baselined until their lowering rules exist.
+one pipeline not yet migrated (radix) is baselined until its lowering
+rule exists.
 
 The serving engine adds a third boundary: the discrete-event
 :class:`repro.sim.Simulator` itself.  Its clock semantics

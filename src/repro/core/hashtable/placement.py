@@ -30,7 +30,7 @@ from repro.utils.units import MIB
 class HashTablePlacement:
     """Where a hash table's bytes live, as region -> byte fractions."""
 
-    total_bytes: int
+    total_bytes: float
     fractions: Dict[str, float]
     hybrid: Optional[HybridAllocation] = None
     label: str = ""

@@ -28,6 +28,7 @@ from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.hashtable import create_hash_table
 from repro.core.join.nopa import payload_line_fraction
+from repro.core.join.result import JoinThroughput
 from repro.data.relation import Relation
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
@@ -38,10 +39,9 @@ from repro.exec import (
     make_executor,
 )
 from repro.hardware.cache import HotSetProfile
-from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
 from repro.logical.algebra import Query, scan
-from repro.logical.lower import PhysicalConfig, compile_query
+from repro.logical.lower import PhysicalConfig, compile_query, is_gpu
 from repro.logical.stats import JoinStats, TableProfile
 from repro.obs import Observability
 from repro.obs.trace import Timeline
@@ -51,7 +51,7 @@ STRATEGIES = ("het", "gpu+het")
 
 
 @dataclass
-class CoopResult:
+class CoopResult(JoinThroughput):
     """Functional result plus simulated performance of a cooperative join."""
 
     matches: int
@@ -73,16 +73,6 @@ class CoopResult:
     @property
     def runtime(self) -> float:
         return self.build_seconds + self.probe_seconds
-
-    @property
-    def throughput_tuples(self) -> float:
-        if self.runtime == 0:
-            return float("inf")
-        return self.modeled_tuples / self.runtime
-
-    @property
-    def throughput_gtuples(self) -> float:
-        return self.throughput_tuples / 1e9
 
     def __str__(self) -> str:
         return (
@@ -145,15 +135,6 @@ class CoopJoin:
         self.shards = shards
         self.last_executor = None
 
-    # ------------------------------------------------------------------
-    # Placement per strategy (delegating to the lowering compiler)
-    # ------------------------------------------------------------------
-    # ------------------------------------------------------------------
-    # Per-worker profiles
-    # ------------------------------------------------------------------
-    def _is_gpu(self, worker: str) -> bool:
-        return isinstance(self.machine.processor(worker), Gpu)
-
     def logical_query(self, r: Relation, s: Relation) -> Query:
         """The join as a logical plan (S probes a table built from R)."""
         return (
@@ -181,7 +162,7 @@ class CoopJoin:
             # A shared *mutable* hash table needs system-wide atomics,
             # which only cache-coherent interconnects provide (L3 /
             # Section 3: PCI-e lacks them).
-            gpu_workers = [w for w in workers if self._is_gpu(w)]
+            gpu_workers = [w for w in workers if is_gpu(self.machine, w)]
             for worker in gpu_workers:
                 link = self.machine.gpu_link(worker)
                 if not link.spec.cache_coherent:

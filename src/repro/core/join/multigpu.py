@@ -26,36 +26,26 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.costmodel.access import (
-    AccessProfile,
-    atomic_stream,
-    random_stream,
-    seq_stream,
-)
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel
 from repro.core.hashtable import create_hash_table
+from repro.core.hashtable.placement import HashTablePlacement
+from repro.core.join.result import JoinThroughput
 from repro.data.relation import Relation
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
+from repro.logical.lower import multigpu_plan
+from repro.logical.stats import TableProfile
 from repro.memory.allocator import Allocator, OutOfMemoryError
 from repro.memory.hybrid import allocate_interleaved
 from repro.obs import Observability
-from repro.plan import (
-    PhaseSpec,
-    Plan,
-    PlanExecutor,
-    Surcharge,
-    WorkerLoad,
-    concurrent_phase,
-    priced_phase,
-)
+from repro.plan import PlanExecutor
 
 PLACEMENTS = ("replicated", "interleaved")
 
 
 @dataclass
-class MultiGpuResult:
+class MultiGpuResult(JoinThroughput):
     """Functional result plus simulated performance."""
 
     matches: int
@@ -71,16 +61,6 @@ class MultiGpuResult:
     def runtime(self) -> float:
         return self.build_seconds + self.probe_seconds
 
-    @property
-    def throughput_tuples(self) -> float:
-        if self.runtime == 0:
-            return float("inf")
-        return self.modeled_tuples / self.runtime
-
-    @property
-    def throughput_gtuples(self) -> float:
-        return self.throughput_tuples / 1e9
-
 
 class MultiGpuJoin:
     """NOPA join distributed over several GPUs.
@@ -88,7 +68,8 @@ class MultiGpuJoin:
     The probe side is split over the GPUs by the morsel dispatcher at
     the rates the contention solver assigns; the build is executed by
     all GPUs in parallel (interleaved) or by one GPU plus a broadcast
-    (replicated).
+    (replicated).  :func:`repro.logical.lower.multigpu_plan` prices
+    both with the same hash-table terms as the other joins.
     """
 
     def __init__(
@@ -124,8 +105,8 @@ class MultiGpuJoin:
 
     def _table_fractions(
         self, gpus: Sequence[Gpu], table_bytes: int
-    ) -> Tuple[Dict[str, float], Dict[str, int]]:
-        """Region fractions + per-GPU bytes for the chosen placement."""
+    ) -> Tuple[Dict[str, HashTablePlacement], Dict[str, int]]:
+        """The table each GPU probes + per-region bytes for the placement."""
         if self.placement == "replicated":
             for gpu in gpus:
                 if table_bytes > gpu.local_memory.capacity:
@@ -133,11 +114,16 @@ class MultiGpuJoin:
                         "replicated placement needs the table to fit every "
                         f"GPU; {table_bytes} bytes exceed {gpu.name}"
                     )
-            return (
-                {gpu.local_memory.name: 1.0 for gpu in gpus},
-                {gpu.local_memory.name: table_bytes for gpu in gpus},
-            )
-        # Interleaved: validate via the real allocator, then return the
+            tables = {
+                gpu.name: HashTablePlacement(
+                    total_bytes=table_bytes,
+                    fractions={gpu.local_memory.name: 1.0},
+                    label="replicated",
+                )
+                for gpu in gpus
+            }
+            return tables, {gpu.local_memory.name: table_bytes for gpu in gpus}
+        # Interleaved: validate via the real allocator, then share the
         # byte split it produced.
         allocator = Allocator(self.machine)
         allocation = allocate_interleaved(
@@ -145,172 +131,15 @@ class MultiGpuJoin:
         )
         per_region = allocation.bytes_per_region()
         allocation.free(allocator)
-        fractions = {
-            region: nbytes / table_bytes if table_bytes else 0.0
-            for region, nbytes in per_region.items()
-        }
-        return fractions, per_region
-
-    # ------------------------------------------------------------------
-    def _probe_profile(
-        self,
-        gpu: Gpu,
-        s: Relation,
-        fractions: Dict[str, float],
-        accesses_per_tuple: float,
-        key_bytes: float,
-        table_bytes: int,
-    ) -> AccessProfile:
-        work = self.calibration.join_work_per_tuple["gpu"]
-        streams = [seq_stream(gpu.name, s.location, s.modeled_bytes, "read S")]
-        if self.placement == "replicated":
-            streams.append(
-                random_stream(
-                    gpu.name,
-                    gpu.local_memory.name,
-                    s.modeled_tuples * accesses_per_tuple,
-                    key_bytes,
-                    working_set_bytes=table_bytes,
-                    label="ht probe",
-                )
-            )
-        else:
-            for region, fraction in fractions.items():
-                streams.append(
-                    random_stream(
-                        gpu.name,
-                        region,
-                        s.modeled_tuples * accesses_per_tuple * fraction,
-                        key_bytes,
-                        working_set_bytes=table_bytes * fraction,
-                        label="ht probe",
-                    )
-                )
-        return AccessProfile(
-            streams=streams,
-            compute_tuples=s.modeled_tuples * work,
-            label=f"probe[{gpu.name}]",
-            processor=gpu.name,
+        interleaved = HashTablePlacement(
+            total_bytes=table_bytes,
+            fractions={
+                region: nbytes / table_bytes
+                for region, nbytes in per_region.items()
+            },
+            label="interleaved",
         )
-
-    def build_phase_spec(
-        self,
-        gpus: Sequence[Gpu],
-        r: Relation,
-        fractions: Dict[str, float],
-        entry_bytes: int,
-        table_bytes: int,
-    ) -> PhaseSpec:
-        """Compile the build phase for the chosen placement."""
-        workers = tuple(gpu.name for gpu in gpus)
-        if self.placement == "replicated":
-            builder = gpus[0]
-            profile = AccessProfile(
-                streams=[
-                    seq_stream(builder.name, r.location, r.modeled_bytes, "read R"),
-                    atomic_stream(
-                        builder.name,
-                        builder.local_memory.name,
-                        r.modeled_tuples,
-                        entry_bytes,
-                        working_set_bytes=table_bytes,
-                        label="ht insert",
-                    ),
-                ],
-                compute_tuples=r.modeled_tuples
-                * self.calibration.join_work_per_tuple["gpu"],
-                label="build[replicated]",
-                processor=builder.name,
-            )
-            # Broadcast the finished table to the other GPUs over their
-            # links (peer-to-peer through the mesh).
-            others = len(gpus) - 1
-            surcharges: Tuple[Surcharge, ...] = ()
-            if others:
-                link = self.machine.gpu_link(builder.name)
-                copy_bw = (
-                    link.spec.seq_bw * self.calibration.ht_copy_bandwidth_factor
-                )
-                surcharges = (
-                    Surcharge(
-                        others * table_bytes / copy_bw,
-                        f"link:{link.name}",
-                        "ht broadcast",
-                    ),
-                )
-            return priced_phase(
-                "build",
-                profile,
-                surcharges=surcharges,
-                claims=workers,
-                span_worker=",".join(workers),
-                span_units=float(r.modeled_tuples),
-            )
-        # Interleaved: all GPUs build concurrently; each GPU's inserts
-        # scatter over every GPU's memory by the byte fractions.
-        loads: Dict[str, WorkerLoad] = {}
-        share = 1.0 / len(gpus)
-        for gpu in gpus:
-            streams = [
-                seq_stream(
-                    gpu.name, r.location, r.modeled_bytes * share, "read R"
-                )
-            ]
-            for region, fraction in fractions.items():
-                streams.append(
-                    atomic_stream(
-                        gpu.name,
-                        region,
-                        r.modeled_tuples * share * fraction,
-                        entry_bytes,
-                        working_set_bytes=table_bytes * fraction,
-                        label="ht insert",
-                    )
-                )
-            profile = AccessProfile(
-                streams=streams,
-                compute_tuples=r.modeled_tuples
-                * share
-                * self.calibration.join_work_per_tuple["gpu"],
-                label=f"build[{gpu.name}]",
-                processor=gpu.name,
-            )
-            loads[gpu.name] = WorkerLoad(profile, float(r.modeled_tuples) * share)
-        return concurrent_phase(
-            "build",
-            loads,
-            shared_units=float(r.modeled_tuples),
-            claims=workers,
-            span_units=float(r.modeled_tuples),
-        )
-
-    def probe_phase_spec(
-        self,
-        gpus: Sequence[Gpu],
-        s: Relation,
-        fractions: Dict[str, float],
-        accesses_per_tuple: float,
-        key_bytes: float,
-        table_bytes: int,
-    ) -> PhaseSpec:
-        """Compile the all-GPU probe (pool mode over the probe side)."""
-        loads = {
-            gpu.name: WorkerLoad(
-                self._probe_profile(
-                    gpu, s, fractions, accesses_per_tuple, key_bytes, table_bytes
-                ),
-                float(s.modeled_tuples),
-            )
-            for gpu in gpus
-        }
-        return concurrent_phase(
-            "probe",
-            loads,
-            shared_units=float(s.modeled_tuples),
-            deps=("build",),
-            claims=tuple(gpu.name for gpu in gpus),
-            span_units=float(s.modeled_tuples),
-        )
+        return {gpu.name: interleaved for gpu in gpus}, per_region
 
     # ------------------------------------------------------------------
     def run(
@@ -330,25 +159,12 @@ class MultiGpuJoin:
         found, values = table.lookup_batch(s.key)
         matches = int(found.sum())
         aggregate = int(values[found].astype(np.int64).sum())
-        accesses_per_tuple = (
-            table.stats.lookup_probes + table.stats.value_reads
-        ) / max(1, table.stats.lookups)
-        table_bytes = table.modeled_bytes(r.modeled_tuples)
-
-        fractions, per_region = self._table_fractions(gpus, table_bytes)
-        build_spec = self.build_phase_spec(
-            gpus, r, fractions, table.entry_bytes, table_bytes
+        tables, per_region = self._table_fractions(
+            gpus, table.modeled_bytes(r.modeled_tuples)
         )
-        probe_spec = self.probe_phase_spec(
-            gpus,
-            s,
-            fractions,
-            accesses_per_tuple,
-            float(table.keys.dtype.itemsize),
-            table_bytes,
-        )
-        plan = Plan(
-            [build_spec, probe_spec], label=f"multigpu[{self.placement}]"
+        profile = TableProfile.from_table(table, r.modeled_tuples)
+        plan = multigpu_plan(
+            self.cost_model, self.placement, workers, r, s, profile, tables
         )
         executed = PlanExecutor(self.cost_model).execute(plan)
         probe_out = executed.outcomes["probe"]

@@ -28,6 +28,7 @@ from repro.core.hashtable import create_hash_table
 from repro.core.hashtable.base import HashTableBase
 from repro.core.hashtable.placement import HashTablePlacement, place_hash_table
 from repro.core.ops.selection import LINE_BYTES, line_any
+from repro.core.join.result import JoinThroughput
 from repro.data.relation import Relation
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
@@ -43,12 +44,7 @@ from repro.hardware.cache import HotSetProfile
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
 from repro.logical.algebra import Query, scan
-from repro.logical.lower import (
-    GPU_BUILD_ACCESSES,
-    CPU_BUILD_ACCESSES,
-    PhysicalConfig,
-    compile_query,
-)
+from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.stats import JoinStats, TableProfile
 from repro.memory.allocator import OutOfMemoryError
 from repro.obs import Observability
@@ -68,7 +64,7 @@ def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
 
 
 @dataclass
-class JoinResult:
+class JoinResult(JoinThroughput):
     """Functional result plus simulated performance of one join."""
 
     matches: int
@@ -86,17 +82,6 @@ class JoinResult:
     def runtime(self) -> float:
         """Simulated end-to-end seconds at modeled (paper) scale."""
         return self.build_cost.seconds + self.probe_cost.seconds
-
-    @property
-    def throughput_tuples(self) -> float:
-        """(|R| + |S|) / runtime — the paper's throughput metric."""
-        if self.runtime == 0:
-            return float("inf")
-        return self.modeled_tuples / self.runtime
-
-    @property
-    def throughput_gtuples(self) -> float:
-        return self.throughput_tuples / 1e9
 
     @property
     def build_fraction(self) -> float:
@@ -159,12 +144,6 @@ class NoPartitioningJoin:
         retry_policy: bounded retry/backoff for transient morsel faults
             in the thread backend (None uses the executor default).
     """
-
-    #: calibrated accounting: a GPU insert is one 16-byte CAS; a CPU
-    #: insert is a compare-exchange plus a store (two accesses).  The
-    #: constants live with the lowering arithmetic in ``repro.logical``.
-    GPU_BUILD_ACCESSES = GPU_BUILD_ACCESSES
-    CPU_BUILD_ACCESSES = CPU_BUILD_ACCESSES
 
     def __init__(
         self,

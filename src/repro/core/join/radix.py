@@ -27,6 +27,7 @@ import numpy as np
 from repro.costmodel.access import AccessProfile, seq_stream
 from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel, PhaseCost
+from repro.core.join.result import JoinThroughput
 from repro.data.relation import Relation
 from repro.hardware.processor import Cpu
 from repro.hardware.topology import Machine
@@ -36,7 +37,7 @@ from repro.utils.units import GIB
 
 
 @dataclass
-class RadixJoinResult:
+class RadixJoinResult(JoinThroughput):
     """Functional result plus simulated performance."""
 
     matches: int
@@ -51,16 +52,6 @@ class RadixJoinResult:
     @property
     def runtime(self) -> float:
         return self.partition_cost.seconds + self.join_cost.seconds
-
-    @property
-    def throughput_tuples(self) -> float:
-        if self.runtime == 0:
-            return float("inf")
-        return self.modeled_tuples / self.runtime
-
-    @property
-    def throughput_gtuples(self) -> float:
-        return self.throughput_tuples / 1e9
 
 
 class RadixJoin:

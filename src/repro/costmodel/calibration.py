@@ -182,8 +182,10 @@ class Calibration:
     gpu_batch_dispatch_latency: float = 20 * US  # morsel batch round trip
     cpu_morsel_dispatch_latency: float = 0.2 * US
 
-    # --- synchronous device-to-host hash-table broadcast (GPU+Het).
-    ht_copy_bandwidth_factor: float = 0.8  # of the GPU link's seq bw
+    # --- synchronous hash-table broadcast (GPU+Het, star, replicated
+    # multi-GPU): share of the builder's GPU link or, for a CPU
+    # builder, local-memory sequential bandwidth.
+    ht_copy_bandwidth_factor: float = 0.8
 
     def independent_factor(self, resource_name: str) -> float:
         """Uplift factor for a spec name; unknown resources get 1.0."""

@@ -2,18 +2,23 @@
 
 This module owns the phase-assembly arithmetic that used to live
 inside the operator classes (``NoPartitioningJoin``, ``CoopJoin``,
-``StarJoin``, ``TpchQ6``).  The operators are now facades: they build a
-logical plan, gather runtime statistics from their functional
-execution, and call :func:`compile_query`; the optimizer calls the same
-compiler with *estimated* statistics to price candidates it never
-executes.  Either way, every read of relation/column bytes goes through
-the shared :func:`repro.plan.ingest` glue, and every plan is priced by
-the one :class:`repro.plan.PlanExecutor`.
+``StarJoin``, ``TpchQ6``, ``MultiGpuJoin``).  The operators are now
+facades: they build a logical plan, gather runtime statistics from
+their functional execution, and call :func:`compile_query` (the
+multi-GPU facade, which is outside the optimizer's search space, calls
+:func:`multigpu_plan` directly); the optimizer calls the same compiler
+with *estimated* statistics to price candidates it never executes.
+Either way, every read of relation/column bytes goes through the
+shared :func:`repro.plan.ingest` glue, and every plan is priced by the
+one :class:`repro.plan.PlanExecutor`.
 
-The free functions (``join_build_phase`` and friends) are the verbatim
-arithmetic of the pre-refactor operator methods — same stream
-construction order, same float expressions — which is what keeps the
-PR-3 golden-equivalence harness passing bit-for-bit.
+Every join lowering prices its hash table with the same three terms,
+each stated once: :func:`insert_streams` (one insert per build tuple),
+:func:`table_streams` (accesses split over the regions holding the
+table), and :func:`broadcast` (the synchronous copy of a finished
+table).  The stream construction order and float expressions are those
+of the pre-refactor operator methods, which is what keeps the
+golden-equivalence harness passing bit-for-bit.
 """
 
 from __future__ import annotations
@@ -28,13 +33,12 @@ from repro.costmodel.access import (
     random_stream,
     seq_stream,
 )
-from repro.costmodel.calibration import Calibration
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.hashtable.placement import HashTablePlacement
 from repro.data.relation import Relation
 from repro.hardware.cache import HotSetProfile
 from repro.hardware.memory import MemoryKind
-from repro.hardware.processor import Gpu
+from repro.hardware.processor import Gpu, Processor
 from repro.hardware.topology import Machine
 from repro.logical.algebra import (
     Aggregate,
@@ -242,10 +246,33 @@ def classify(node: LogicalNode):
 
 
 # ----------------------------------------------------------------------
-# Shared helpers
+# Hash-join cost terms (shared by every join lowering)
 # ----------------------------------------------------------------------
-def _is_gpu(machine: Machine, worker: str) -> bool:
+def is_gpu(machine: Machine, worker: str) -> bool:
     return isinstance(machine.processor(worker), Gpu)
+
+
+def join_per_tuple(
+    cost_model: CostModel, processor: str
+) -> Tuple[float, float]:
+    """(hash-table accesses per insert, join work per tuple) of a processor."""
+    if is_gpu(cost_model.machine, processor):
+        kind, per_insert = "gpu", GPU_BUILD_ACCESSES
+    else:
+        kind, per_insert = "cpu", CPU_BUILD_ACCESSES
+    return per_insert, cost_model.calibration.join_work_per_tuple[kind]
+
+
+def _launch_overhead(proc: Processor) -> float:
+    return proc.kernel_launch_latency if isinstance(proc, Gpu) else 0.0
+
+
+def _local_table(
+    machine: Machine, worker: str, table_bytes: float
+) -> HashTablePlacement:
+    """A whole table (or a private copy) in the worker's local memory."""
+    region = machine.processor(worker).local_memory.name
+    return HashTablePlacement(total_bytes=table_bytes, fractions={region: 1.0})
 
 
 def _ingest_relation(
@@ -276,12 +303,16 @@ def table_streams(
     atomic: bool,
     hot_set: Optional[HotSetProfile],
     label: str,
+    contended: bool = False,
 ) -> List[Stream]:
-    """Hash-table traffic split across the placement's regions."""
+    """Hash-table traffic split across the placement's regions.
+
+    One stream per region holding part of the table, zero accesses
+    included.  ``contended`` marks inserts several processors make into
+    one shared table (the Het build).
+    """
     streams: List[Stream] = []
     for region, share in placement.split_accesses(accesses).items():
-        if share <= 0:
-            continue
         working_set = placement.total_bytes * placement.fraction(region)
         if atomic:
             streams.append(
@@ -291,6 +322,7 @@ def table_streams(
                     share,
                     access_bytes,
                     working_set_bytes=working_set,
+                    contended=contended,
                     label=label,
                 )
             )
@@ -309,6 +341,96 @@ def table_streams(
     return streams
 
 
+def insert_streams(
+    cost_model: CostModel,
+    builder: str,
+    tuples: float,
+    placement: HashTablePlacement,
+    entry_bytes: float,
+    insert_factor: float = 1.0,
+    contended: bool = False,
+) -> Tuple[List[Stream], float]:
+    """The build term: (insert streams, compute tuples) for ``tuples``
+    inserts by ``builder`` into ``placement``."""
+    per_insert, work = join_per_tuple(cost_model, builder)
+    streams = table_streams(
+        builder,
+        placement,
+        tuples * (per_insert * insert_factor),
+        entry_bytes,
+        atomic=True,
+        hot_set=None,
+        label="ht insert",
+        contended=contended,
+    )
+    return streams, tuples * work
+
+
+def broadcast(
+    cost_model: CostModel, builder: str, copies: int, table_bytes: float
+) -> Tuple[float, str]:
+    """(seconds, resource) of copying a finished table ``copies`` times.
+
+    A GPU builder copies over its link, a CPU builder through its local
+    memory (Figure 9b, step 2).
+    """
+    machine = cost_model.machine
+    if is_gpu(machine, builder):
+        link = machine.gpu_link(builder)
+        bandwidth, resource = link.spec.seq_bw, f"link:{link.name}"
+    else:
+        memory = machine.processor(builder).local_memory
+        bandwidth, resource = memory.spec.seq_bw, f"mem:{memory.name}"
+    seconds = copies * table_bytes / (
+        bandwidth * cost_model.calibration.ht_copy_bandwidth_factor
+    )
+    return seconds, resource
+
+
+def _broadcast_surcharges(
+    cost_model: CostModel, builder: str, copies: int, table_bytes: float
+) -> Tuple[Surcharge, ...]:
+    """The synchronous table copy as a build-phase surcharge."""
+    if not copies:
+        return ()
+    seconds, resource = broadcast(cost_model, builder, copies, table_bytes)
+    return (Surcharge(seconds, resource, "ht broadcast"),)
+
+
+def _probe_profile(
+    cost_model: CostModel,
+    worker: str,
+    s: Relation,
+    read_bytes: float,
+    table: HashTablePlacement,
+    accesses_per_tuple: float,
+    key_bytes: float,
+    hot_set: Optional[HotSetProfile],
+    processor: Optional[str] = None,
+) -> AccessProfile:
+    """One worker's probe of S against the table it reads.
+
+    ``processor`` is the profile's compute owner; when unset the cost
+    model charges compute to the streams' processor, the same worker.
+    """
+    streams = [seq_stream(worker, s.location, read_bytes, "read S")]
+    streams += table_streams(
+        worker,
+        table,
+        s.modeled_tuples * accesses_per_tuple,
+        key_bytes,
+        atomic=False,
+        hot_set=hot_set,
+        label="ht probe",
+    )
+    return AccessProfile(
+        streams=streams,
+        compute_tuples=s.modeled_tuples * join_per_tuple(cost_model, worker)[1],
+        label=f"probe[{worker}]",
+        processor=processor,
+    )
+
+
 # ----------------------------------------------------------------------
 # Single-processor join (NOPA) lowering
 # ----------------------------------------------------------------------
@@ -322,32 +444,21 @@ def join_build_phase(
 ) -> PhaseSpec:
     """The build phase at modeled scale, as a plan node."""
     proc = cost_model.machine.processor(processor)
-    is_gpu = isinstance(proc, Gpu)
-    per_tuple = (
-        GPU_BUILD_ACCESSES if is_gpu else CPU_BUILD_ACCESSES
-    ) * table.insert_factor
-    modeled_inserts = r.modeled_tuples * per_tuple
     spec = _ingest_relation(
         cost_model, transfer_method, processor, r, r.modeled_bytes, "read R"
     )
-    streams = list(spec.streams)
-    streams += table_streams(
+    inserts, compute = insert_streams(
+        cost_model,
         processor,
+        r.modeled_tuples,
         placement,
-        modeled_inserts,
         table.entry_bytes,
-        atomic=True,
-        hot_set=None,
-        label="ht insert",
+        insert_factor=table.insert_factor,
     )
-    overhead = proc.kernel_launch_latency if is_gpu else 0.0
-    work = cost_model.calibration.join_work_per_tuple[
-        "gpu" if is_gpu else "cpu"
-    ]
     profile = AccessProfile(
-        streams=streams,
-        fixed_overhead=overhead,
-        compute_tuples=r.modeled_tuples * work,
+        streams=list(spec.streams) + inserts,
+        fixed_overhead=_launch_overhead(proc),
+        compute_tuples=compute,
         label="build",
         processor=processor,
     )
@@ -377,7 +488,6 @@ def join_probe_phase(
 ) -> PhaseSpec:
     """The probe phase at modeled scale, as a plan node."""
     proc = cost_model.machine.processor(processor)
-    is_gpu = isinstance(proc, Gpu)
     # The probe always streams S's key column; the payload column is
     # loaded at line granularity only where matches occur.
     key_bytes = s.modeled_tuples * s.key_bytes
@@ -427,14 +537,10 @@ def join_probe_phase(
                 label="materialize result",
             )
         )
-    overhead = proc.kernel_launch_latency if is_gpu else 0.0
-    work = cost_model.calibration.join_work_per_tuple[
-        "gpu" if is_gpu else "cpu"
-    ]
     profile = AccessProfile(
         streams=streams,
-        fixed_overhead=overhead,
-        compute_tuples=s.modeled_tuples * work,
+        fixed_overhead=_launch_overhead(proc),
+        compute_tuples=s.modeled_tuples * join_per_tuple(cost_model, processor)[1],
         label="probe",
         processor=processor,
     )
@@ -502,79 +608,32 @@ def _shared_table_region(machine: Machine, workers: Tuple[str, ...]) -> str:
     table in CPU memory ... we avoid slowing down CPU processing
     through remote GPU memory accesses" (Section 6.2).
     """
-    gpus = [w for w in workers if _is_gpu(machine, w)]
+    gpus = [w for w in workers if is_gpu(machine, w)]
     anchor = gpus[0] if gpus else workers[0]
     return machine.nearest_cpu_memory(anchor).name
 
 
-def _local_table_region(machine: Machine, worker: str) -> str:
-    """GPU+Het: every worker probes a copy in its local memory."""
-    return machine.processor(worker).local_memory.name
-
-
 def _coop_build_profile(
-    machine: Machine,
-    calibration: Calibration,
+    cost_model: CostModel,
     worker: str,
     r: Relation,
-    table_region: str,
-    table_bytes: float,
+    table: HashTablePlacement,
     entry_bytes: float,
     contended: bool,
 ) -> AccessProfile:
-    is_gpu = _is_gpu(machine, worker)
-    accesses_per_tuple = 1.0 if is_gpu else 2.0
-    label = "ht insert [contended]" if contended else "ht insert"
-    work = calibration.join_work_per_tuple["gpu" if is_gpu else "cpu"]
+    inserts, compute = insert_streams(
+        cost_model,
+        worker,
+        r.modeled_tuples,
+        table,
+        entry_bytes,
+        contended=contended,
+    )
     return AccessProfile(
-        streams=[
-            seq_stream(worker, r.location, r.modeled_bytes, "read R"),
-            atomic_stream(
-                worker,
-                table_region,
-                r.modeled_tuples * accesses_per_tuple,
-                entry_bytes,
-                working_set_bytes=table_bytes,
-                label=label,
-            ),
-        ],
-        compute_tuples=r.modeled_tuples * work,
+        streams=[seq_stream(worker, r.location, r.modeled_bytes, "read R")]
+        + inserts,
+        compute_tuples=compute,
         label=f"build[{worker}]",
-    )
-
-
-def _coop_probe_profile(
-    machine: Machine,
-    calibration: Calibration,
-    worker: str,
-    s: Relation,
-    table_region: str,
-    table_bytes: float,
-    key_bytes: float,
-    accesses_per_tuple: float,
-    lines_loaded: float,
-    hot_set: Optional[HotSetProfile],
-) -> AccessProfile:
-    is_gpu = _is_gpu(machine, worker)
-    work = calibration.join_work_per_tuple["gpu" if is_gpu else "cpu"]
-    stream_bytes = s.modeled_tuples * (
-        s.key_bytes + s.payload_bytes * lines_loaded
-    )
-    return AccessProfile(
-        streams=[
-            seq_stream(worker, s.location, stream_bytes, "read S"),
-            random_stream(
-                worker,
-                table_region,
-                s.modeled_tuples * accesses_per_tuple,
-                key_bytes,
-                working_set_bytes=table_bytes,
-                hot_set=hot_set,
-                label="ht probe",
-            ),
-        ],
-        compute_tuples=s.modeled_tuples * work,
-        label=f"probe[{worker}]",
     )
 
 
@@ -585,25 +644,20 @@ def coop_build_phase(
     workers: Tuple[str, ...],
     table_bytes: float,
     entry_bytes: float,
-) -> Tuple[PhaseSpec, Dict[str, str]]:
-    """Compile the build phase; returns (spec, worker -> probe region)."""
+) -> Tuple[PhaseSpec, Dict[str, HashTablePlacement]]:
+    """Compile the build phase; returns (spec, worker -> probed table)."""
     machine = cost_model.machine
-    calibration = cost_model.calibration
     span_attrs = {"strategy": strategy}
     if strategy == "het":
-        region = _shared_table_region(machine, workers)
+        shared = HashTablePlacement(
+            total_bytes=table_bytes,
+            fractions={_shared_table_region(machine, workers): 1.0},
+        )
         contended = len(workers) > 1
         loads = {
             worker: WorkerLoad(
                 _coop_build_profile(
-                    machine,
-                    calibration,
-                    worker,
-                    r,
-                    region,
-                    table_bytes,
-                    entry_bytes,
-                    contended,
+                    cost_model, worker, r, shared, entry_bytes, contended
                 ),
                 float(r.modeled_tuples),
             )
@@ -618,13 +672,13 @@ def coop_build_phase(
             span_units=float(r.modeled_tuples),
             span_attrs=span_attrs,
         )
-        return spec, {worker: region for worker in workers}
+        return spec, {worker: shared for worker in workers}
 
     # gpu+het: the GPU builds locally, then broadcasts the table.
     # Every worker holds a private copy, so the table must fit the
     # smallest GPU memory (this is the "small build-side relations"
     # special case of Section 6.2).
-    gpus = [w for w in workers if _is_gpu(machine, w)]
+    gpus = [w for w in workers if is_gpu(machine, w)]
     if not gpus:
         raise LogicalError("gpu+het requires at least one GPU worker")
     for worker in gpus:
@@ -636,39 +690,26 @@ def coop_build_phase(
                 "use the Het strategy for large build sides"
             )
     builder = gpus[0]
-    build_region = _local_table_region(machine, builder)
+    tables = {w: _local_table(machine, w, table_bytes) for w in workers}
     profile = _coop_build_profile(
-        machine,
-        calibration,
-        builder,
-        r,
-        build_region,
-        table_bytes,
-        entry_bytes,
-        contended=False,
+        cost_model, builder, r, tables[builder], entry_bytes, contended=False
     )
-    # Synchronous copy of the finished table to each other worker's
-    # local memory over the builder's link (Figure 9b, step 2).
-    others = [w for w in workers if w != builder]
-    copy_targets = {_local_table_region(machine, w) for w in others}
-    surcharges: Tuple[Surcharge, ...] = ()
-    if copy_targets:
-        link = machine.gpu_link(builder)
-        copy_bw = link.spec.seq_bw * calibration.ht_copy_bandwidth_factor
-        copy_seconds = len(copy_targets) * table_bytes / copy_bw
-        surcharges = (
-            Surcharge(copy_seconds, f"link:{link.name}", "ht broadcast"),
-        )
+    # One copy of the finished table per other local memory.
+    copies = len(
+        {machine.processor(w).local_memory.name for w in workers if w != builder}
+    )
     spec = priced_phase(
         "build",
         profile,
-        surcharges=surcharges,
+        surcharges=_broadcast_surcharges(
+            cost_model, builder, copies, table_bytes
+        ),
         claims=tuple(workers),
         span_worker=",".join(workers),
         span_units=float(r.modeled_tuples),
         span_attrs=span_attrs,
     )
-    return spec, {w: _local_table_region(machine, w) for w in workers}
+    return spec, tables
 
 
 def coop_probe_phase(
@@ -676,8 +717,7 @@ def coop_probe_phase(
     strategy: str,
     s: Relation,
     workers: Tuple[str, ...],
-    regions: Dict[str, str],
-    table_bytes: float,
+    tables: Dict[str, HashTablePlacement],
     key_bytes: float,
     accesses_per_tuple: float,
     lines_loaded: float,
@@ -689,23 +729,24 @@ def coop_probe_phase(
     """Compile the morsel-dispatched cooperative probe phase."""
     machine = cost_model.machine
     calibration = cost_model.calibration
+    read_bytes = s.modeled_tuples * (
+        s.key_bytes + s.payload_bytes * lines_loaded
+    )
     loads = {}
     morsel_workers = {}
     for worker in workers:
-        profile = _coop_probe_profile(
-            machine,
-            calibration,
+        profile = _probe_profile(
+            cost_model,
             worker,
             s,
-            regions[worker],
-            table_bytes,
-            key_bytes,
+            read_bytes,
+            tables[worker],
             accesses_per_tuple,
-            lines_loaded,
+            key_bytes,
             hot_set,
         )
         loads[worker] = WorkerLoad(profile, float(s.modeled_tuples))
-        if _is_gpu(machine, worker):
+        if is_gpu(machine, worker):
             morsel_workers[worker] = MorselWorker(
                 dispatch_latency=calibration.gpu_batch_dispatch_latency,
                 batch_morsels=gpu_batch_morsels,
@@ -738,13 +779,12 @@ def coop_plan(
     stats: JoinStats,
 ) -> Plan:
     """Compile the cooperative build -> morsel-probe DAG."""
-    table_bytes = stats.table.modeled_bytes
-    build_spec, regions = coop_build_phase(
+    build_spec, tables = coop_build_phase(
         cost_model,
         config.strategy,
         r,
         config.workers,
-        table_bytes,
+        stats.table.modeled_bytes,
         stats.table.entry_bytes,
     )
     probe_spec = coop_probe_phase(
@@ -752,8 +792,7 @@ def coop_plan(
         config.strategy,
         s,
         config.workers,
-        regions,
-        table_bytes,
+        tables,
         stats.table.key_itemsize,
         stats.table.accesses_per_lookup,
         stats.lines_loaded,
@@ -763,6 +802,110 @@ def coop_plan(
         matches=stats.matches,
     )
     return Plan([build_spec, probe_spec], label=f"coop[{config.strategy}]")
+
+
+# ----------------------------------------------------------------------
+# Multi-GPU join lowering (Section 6.3)
+# ----------------------------------------------------------------------
+def multigpu_plan(
+    cost_model: CostModel,
+    placement: str,
+    workers: Tuple[str, ...],
+    r: Relation,
+    s: Relation,
+    table: TableProfile,
+    tables: Dict[str, HashTablePlacement],
+) -> Plan:
+    """Compile the multi-GPU build -> pool-probe DAG.
+
+    ``placement`` is ``replicated`` (the first GPU builds and
+    broadcasts; ``tables`` maps every GPU to its local copy) or
+    ``interleaved`` (every GPU builds into and probes the one table
+    whose pages are dealt over all GPU memories).
+    """
+    if placement == "replicated":
+        builder = workers[0]
+        inserts, compute = insert_streams(
+            cost_model,
+            builder,
+            r.modeled_tuples,
+            tables[builder],
+            table.entry_bytes,
+        )
+        profile = AccessProfile(
+            streams=[seq_stream(builder, r.location, r.modeled_bytes, "read R")]
+            + inserts,
+            compute_tuples=compute,
+            label="build[replicated]",
+            processor=builder,
+        )
+        # One copy per other GPU, charged to the builder's link.
+        build_spec = priced_phase(
+            "build",
+            profile,
+            surcharges=_broadcast_surcharges(
+                cost_model, builder, len(workers) - 1, table.modeled_bytes
+            ),
+            claims=workers,
+            span_worker=",".join(workers),
+            span_units=float(r.modeled_tuples),
+        )
+    else:
+        # All GPUs build concurrently; each GPU's inserts scatter over
+        # every GPU's memory by the byte fractions.
+        loads: Dict[str, WorkerLoad] = {}
+        share = 1.0 / len(workers)
+        for gpu in workers:
+            inserts, compute = insert_streams(
+                cost_model,
+                gpu,
+                r.modeled_tuples * share,
+                tables[gpu],
+                table.entry_bytes,
+            )
+            profile = AccessProfile(
+                streams=[
+                    seq_stream(gpu, r.location, r.modeled_bytes * share, "read R")
+                ]
+                + inserts,
+                compute_tuples=compute,
+                label=f"build[{gpu}]",
+                processor=gpu,
+            )
+            loads[gpu] = WorkerLoad(profile, float(r.modeled_tuples) * share)
+        build_spec = concurrent_phase(
+            "build",
+            loads,
+            shared_units=float(r.modeled_tuples),
+            claims=workers,
+            span_units=float(r.modeled_tuples),
+        )
+    probe_loads = {
+        gpu: WorkerLoad(
+            _probe_profile(
+                cost_model,
+                gpu,
+                s,
+                s.modeled_bytes,
+                tables[gpu],
+                table.accesses_per_lookup,
+                table.key_itemsize,
+                hot_set=None,
+                processor=gpu,
+            ),
+            float(s.modeled_tuples),
+        )
+        for gpu in workers
+    }
+    probe_spec = concurrent_phase(
+        "probe",
+        probe_loads,
+        shared_units=float(s.modeled_tuples),
+        deps=("build",),
+        claims=workers,
+        span_units=float(s.modeled_tuples),
+    )
+    return Plan([build_spec, probe_spec], label=f"multigpu[{placement}]")
 
 
 # ----------------------------------------------------------------------
@@ -781,26 +924,23 @@ def star_build_phase(
     returns (spec, fact_key -> builder).
     """
     machine = cost_model.machine
-    calibration = cost_model.calibration
     builder_of: Dict[str, str] = {}
     loads: Dict[str, WorkerLoad] = {}
     for i, (rel, fact_key) in enumerate(dimensions):
         builder = workers[i % len(workers)]
         builder_of[fact_key] = builder
-        table_bytes = rel.modeled_tuples * rel.tuple_bytes
-        is_gpu = _is_gpu(machine, builder)
-        accesses = rel.modeled_tuples * (1.0 if is_gpu else 2.0)
-        local = machine.processor(builder).local_memory.name
+        table = _local_table(
+            machine, builder, rel.modeled_tuples * rel.tuple_bytes
+        )
+        inserts, compute = insert_streams(
+            cost_model, builder, rel.modeled_tuples, table, rel.tuple_bytes
+        )
         profile = AccessProfile(
             streams=[
-                seq_stream(builder, rel.location, rel.modeled_bytes, "read dim"),
-                atomic_stream(
-                    builder, local, accesses, rel.tuple_bytes,
-                    working_set_bytes=table_bytes, label="ht insert",
-                ),
-            ],
-            compute_tuples=rel.modeled_tuples
-            * calibration.join_work_per_tuple["gpu" if is_gpu else "cpu"],
+                seq_stream(builder, rel.location, rel.modeled_bytes, "read dim")
+            ]
+            + inserts,
+            compute_tuples=compute,
             label=f"build[{fact_key}]",
             processor=builder,
         )
@@ -821,33 +961,23 @@ def star_broadcast_phase(
     workers: Sequence[str],
     builder_of: Dict[str, str],
 ) -> PhaseSpec:
-    """Broadcast every finished table to every *other* worker over
-    the builder's link (a fixed, sequential copy cost)."""
-    machine = cost_model.machine
-    calibration = cost_model.calibration
-    broadcast = 0.0
+    """Broadcast every finished table to every *other* worker (a fixed,
+    sequential copy cost per table)."""
+    total = 0.0
     occupancy: Dict[str, float] = {}
-    for rel, fact_key in dimensions:
-        builder = builder_of[fact_key]
-        table_bytes = rel.modeled_tuples * rel.tuple_bytes
-        others = len(workers) - 1
-        if others == 0:
-            continue
-        if _is_gpu(machine, builder):
-            link = machine.gpu_link(builder)
-            link_bw = link.spec.seq_bw
-            resource = f"link:{link.name}"
-        else:
-            memory = machine.processor(builder).local_memory
-            link_bw = memory.spec.seq_bw
-            resource = f"mem:{memory.name}"
-        seconds = others * table_bytes / (
-            link_bw * calibration.ht_copy_bandwidth_factor
-        )
-        broadcast += seconds
-        occupancy[resource] = occupancy.get(resource, 0.0) + seconds
+    copies = len(workers) - 1
+    if copies:
+        for rel, fact_key in dimensions:
+            seconds, resource = broadcast(
+                cost_model,
+                builder_of[fact_key],
+                copies,
+                rel.modeled_tuples * rel.tuple_bytes,
+            )
+            total += seconds
+            occupancy[resource] = occupancy.get(resource, 0.0) + seconds
     cost = PhaseCost(
-        seconds=broadcast,
+        seconds=total,
         bottleneck=(
             max(occupancy, key=lambda res: occupancy[res])
             if occupancy
@@ -876,11 +1006,8 @@ def star_probe_phase(
 ) -> PhaseSpec:
     """Compile the all-workers conjunctive probe (pool mode)."""
     machine = cost_model.machine
-    calibration = cost_model.calibration
     loads: Dict[str, WorkerLoad] = {}
     for worker in workers:
-        is_gpu = _is_gpu(machine, worker)
-        local = machine.processor(worker).local_memory.name
         streams = [
             seq_stream(
                 worker,
@@ -891,18 +1018,22 @@ def star_probe_phase(
         ]
         alive = 1.0
         for (rel, _fact_key), survival in zip(dimensions, survival_per_dim):
-            table_bytes = rel.modeled_tuples * rel.tuple_bytes
+            table = _local_table(
+                machine, worker, rel.modeled_tuples * rel.tuple_bytes
+            )
             # Short-circuit: only tuples still alive probe the next
             # dimension; each probe is key + (on match) value.
-            accesses = modeled_fact * alive * (1.0 + survival)
-            streams.append(
-                random_stream(
-                    worker, local, accesses, rel.key_bytes,
-                    working_set_bytes=table_bytes, label="dim probe",
-                )
+            streams += table_streams(
+                worker,
+                table,
+                modeled_fact * alive * (1.0 + survival),
+                rel.key_bytes,
+                atomic=False,
+                hot_set=None,
+                label="dim probe",
             )
             alive *= survival
-        work = calibration.join_work_per_tuple["gpu" if is_gpu else "cpu"]
+        work = join_per_tuple(cost_model, worker)[1]
         profile = AccessProfile(
             streams=streams,
             compute_tuples=modeled_fact * work * len(dimensions),
@@ -988,11 +1119,10 @@ def scan_phase(
         # Branchy scalar code cannot use SIMD predication; the CPU
         # pays more per-row work but the same skipping benefit.
         work *= 2.0
-    overhead = proc.kernel_launch_latency if is_gpu else 0.0
     profile = AccessProfile(
         streams=spec.streams,
         compute_tuples=modeled_rows * work,
-        fixed_overhead=overhead,
+        fixed_overhead=_launch_overhead(proc),
         label=profile_label,
         processor=processor,
     )

@@ -6,12 +6,15 @@ JSON-ready summary: functional integers exactly, phase seconds and
 occupancy vectors as floats.  The recorder ran these against the
 pre-refactor seed code and committed ``golden_reference.json``; the
 equivalence test re-runs them against the plan-compiled operators and
-asserts the summaries match.
+asserts the summaries match.  The two multi-copy broadcast cases
+(``coop_gpu_het_three_workers``, ``multigpu_replicated_four``) were
+appended later, recorded from the code before the hash-join cost terms
+were merged into one build/probe/broadcast lowering.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 import numpy as np
 
@@ -91,10 +94,14 @@ def nopa_intel_zero_copy() -> Dict[str, Any]:
     )
 
 
-def _coop(strategy: str) -> Dict[str, Any]:
-    join = CoopJoin(ibm_ac922(), strategy=strategy)
+def _coop(
+    strategy: str,
+    machine=None,
+    workers: Tuple[str, ...] = ("cpu0", "gpu0"),
+) -> Dict[str, Any]:
+    join = CoopJoin(machine or ibm_ac922(), strategy=strategy)
     wl = workload_a(scale=SCALE)
-    result = join.run(wl.r, wl.s, workers=("cpu0", "gpu0"))
+    result = join.run(wl.r, wl.s, workers=workers)
     return {
         "matches": result.matches,
         "aggregate": result.aggregate,
@@ -115,6 +122,15 @@ def coop_het() -> Dict[str, Any]:
 
 def coop_gpu_het() -> Dict[str, Any]:
     return _coop("gpu+het")
+
+
+def coop_gpu_het_three_workers() -> Dict[str, Any]:
+    """gpu+het on the 4-GPU mesh: the builder broadcasts two copies."""
+    return _coop(
+        "gpu+het",
+        machine=ibm_ac922(gpus=4, gpu_mesh=True),
+        workers=("cpu0", "gpu0", "gpu1"),
+    )
 
 
 def radix_cpu() -> Dict[str, Any]:
@@ -177,8 +193,8 @@ def star_join() -> Dict[str, Any]:
     }
 
 
-def _multigpu(placement: str) -> Dict[str, Any]:
-    join = MultiGpuJoin(ibm_ac922(), placement=placement)
+def _multigpu(placement: str, machine=None) -> Dict[str, Any]:
+    join = MultiGpuJoin(machine or ibm_ac922(), placement=placement)
     wl = workload_a(scale=SCALE)
     result = join.run(wl.r, wl.s)
     return {
@@ -199,6 +215,11 @@ def multigpu_replicated() -> Dict[str, Any]:
 
 def multigpu_interleaved() -> Dict[str, Any]:
     return _multigpu("interleaved")
+
+
+def multigpu_replicated_four() -> Dict[str, Any]:
+    """Replicated on gpu0..gpu3 of the mesh: three broadcast copies."""
+    return _multigpu("replicated", machine=ibm_ac922(gpus=4, gpu_mesh=True))
 
 
 def _q6(variant: str, processor: str) -> Dict[str, Any]:
@@ -241,6 +262,8 @@ CASES: Dict[str, Callable[[], Dict[str, Any]]] = {
     "q6_branching_gpu": q6_branching_gpu,
     "q6_predicated_gpu": q6_predicated_gpu,
     "q6_predicated_cpu": q6_predicated_cpu,
+    "coop_gpu_het_three_workers": coop_gpu_het_three_workers,
+    "multigpu_replicated_four": multigpu_replicated_four,
 }
 
 
