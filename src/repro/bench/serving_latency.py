@@ -165,19 +165,20 @@ def representative_manifests(report: ServingReport) -> List[RunManifest]:
         if name in seen:
             continue
         seen.add(name)
+        served = query.manifest
         manifest = RunManifest(
-            kind=query.manifest["kind"],
-            machine=query.manifest["machine"],
-            workload=query.manifest["workload"],
-            config=query.manifest["config"],
-            phases=query.manifest["phases"],
-            results=query.manifest["results"],
-            metrics=query.manifest["metrics"],
-            spans=query.manifest["spans"],
-            calibration=query.manifest["calibration"],
-            resilience=query.manifest["resilience"],
-            optimizer=query.manifest["optimizer"],
-            serving=query.manifest["serving"],
+            kind=served["kind"],
+            machine=served["machine"],
+            workload=served["workload"],
+            config=served["config"],
+            phases=served["phases"],
+            results=served["results"],
+            metrics=served["metrics"],
+            spans=served["spans"],
+            calibration=served["calibration"],
+            resilience=served["resilience"],
+            optimizer=served["optimizer"],
+            serving=served["serving"],
         )
         manifests.append(manifest)
     return manifests

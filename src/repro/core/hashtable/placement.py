@@ -18,12 +18,12 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.core.placement import DEFAULT_GPU_RESERVE
 from repro.faults.runtime import active_plan
 from repro.hardware.memory import MemoryKind
 from repro.hardware.topology import Machine
 from repro.memory.allocator import Allocator, OutOfMemoryError
 from repro.memory.hybrid import HybridAllocation, allocate_hybrid
-from repro.utils.units import MIB
 
 
 @dataclass
@@ -89,7 +89,7 @@ def place_hash_table(
     gpu_name: str = "gpu0",
     cpu_memory: Optional[str] = None,
     allocator: Optional[Allocator] = None,
-    gpu_reserve: int = 512 * MIB,
+    gpu_reserve: int = DEFAULT_GPU_RESERVE,
     spill_kind: MemoryKind = MemoryKind.PAGEABLE,
 ) -> HashTablePlacement:
     """Compute a placement for ``table_bytes`` (modeled scale).

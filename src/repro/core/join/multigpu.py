@@ -31,12 +31,13 @@ from repro.costmodel.model import CostModel
 from repro.core.hashtable import create_hash_table
 from repro.core.hashtable.placement import HashTablePlacement
 from repro.core.join.result import JoinThroughput
+from repro.core.placement import require_replica_fits
 from repro.data.relation import Relation
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
 from repro.logical.lower import multigpu_plan
 from repro.logical.stats import TableProfile
-from repro.memory.allocator import Allocator, OutOfMemoryError
+from repro.memory.allocator import Allocator
 from repro.memory.hybrid import allocate_interleaved
 from repro.obs import Observability
 from repro.plan import PlanExecutor
@@ -109,11 +110,11 @@ class MultiGpuJoin:
         """The table each GPU probes + per-region bytes for the placement."""
         if self.placement == "replicated":
             for gpu in gpus:
-                if table_bytes > gpu.local_memory.capacity:
-                    raise OutOfMemoryError(
-                        "replicated placement needs the table to fit every "
-                        f"GPU; {table_bytes} bytes exceed {gpu.name}"
-                    )
+                require_replica_fits(
+                    gpu,
+                    table_bytes,
+                    "replicated placement needs the table to fit every GPU",
+                )
             tables = {
                 gpu.name: HashTablePlacement(
                     total_bytes=table_bytes,

@@ -30,16 +30,15 @@ from repro.costmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.costmodel.model import CostModel
 from repro.core.hashtable import create_hash_table
 from repro.core.join.result import JoinThroughput
+from repro.core.placement import DEFAULT_GPU_RESERVE, require_replica_fits
 from repro.data.relation import Relation
 from repro.hardware.processor import Gpu
 from repro.hardware.topology import Machine
 from repro.logical.algebra import Query, scan
 from repro.logical.lower import PhysicalConfig, compile_query
 from repro.logical.stats import StarStats
-from repro.memory.allocator import OutOfMemoryError
 from repro.obs import Observability
 from repro.plan import PlanExecutor
-from repro.utils.units import MIB
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,7 @@ class StarJoin:
         machine: Machine,
         calibration: Calibration = DEFAULT_CALIBRATION,
         hash_scheme: str = "perfect",
-        gpu_reserve: int = 512 * MIB,
+        gpu_reserve: int = DEFAULT_GPU_RESERVE,
         obs: Optional[Observability] = None,
     ) -> None:
         self.machine = machine
@@ -102,13 +101,13 @@ class StarJoin:
         for worker in workers:
             proc = self.machine.processor(worker)
             if isinstance(proc, Gpu):
-                available = proc.local_memory.capacity - self.gpu_reserve
-                if total > available:
-                    raise OutOfMemoryError(
-                        f"replicating {total} bytes of dimension tables "
-                        f"exceeds {worker}'s memory; reduce dimensions or "
-                        "use the Het strategy"
-                    )
+                require_replica_fits(
+                    proc,
+                    total,
+                    "replicating the dimension tables to every GPU "
+                    "(reduce dimensions or use the Het strategy)",
+                    gpu_reserve=self.gpu_reserve,
+                )
 
     def logical_query(
         self,

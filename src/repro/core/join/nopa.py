@@ -29,6 +29,7 @@ from repro.core.hashtable.base import HashTableBase
 from repro.core.hashtable.placement import HashTablePlacement, place_hash_table
 from repro.core.ops.selection import LINE_BYTES, line_any
 from repro.core.join.result import JoinThroughput
+from repro.core.placement import DEFAULT_GPU_RESERVE
 from repro.data.relation import Relation
 from repro.exec import (
     DEFAULT_EXEC_MORSEL_TUPLES,
@@ -49,7 +50,6 @@ from repro.logical.stats import JoinStats, TableProfile
 from repro.memory.allocator import OutOfMemoryError
 from repro.obs import Observability
 from repro.plan import Plan, PlanExecutor
-from repro.utils.units import MIB
 
 def payload_line_fraction(match_mask: np.ndarray, payload_bytes: int) -> float:
     """Fraction of payload-column cache lines with at least one match.
@@ -152,7 +152,7 @@ class NoPartitioningJoin:
         transfer_method: str = "coherence",
         hash_scheme: str = "perfect",
         calibration: Calibration = DEFAULT_CALIBRATION,
-        gpu_reserve: int = 512 * MIB,
+        gpu_reserve: int = DEFAULT_GPU_RESERVE,
         gpu_name: str = "gpu0",
         layout: str = "soa",
         output: str = "aggregate",

@@ -18,9 +18,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.hardware.processor import Gpu
+from repro.hardware.processor import Gpu, Processor
 from repro.hardware.topology import Machine
+from repro.memory.allocator import OutOfMemoryError
 from repro.utils.units import MIB
+
+#: GPU bytes a hash-table placement keeps free (staging buffers and the
+#: like) unless its caller passes its own ``gpu_reserve``.
+DEFAULT_GPU_RESERVE = 512 * MIB
+
+
+def require_replica_fits(
+    gpu: Processor,
+    table_bytes: float,
+    what: str,
+    gpu_reserve: int = DEFAULT_GPU_RESERVE,
+) -> None:
+    """Raise :class:`OutOfMemoryError` unless a private copy of a
+    ``table_bytes`` table fits ``gpu`` beside the reserve.
+
+    ``what`` names the replicating operator and how to avoid the error;
+    it leads the message.
+    """
+    available = gpu.local_memory.capacity - gpu_reserve
+    if table_bytes > available:
+        raise OutOfMemoryError(
+            f"{what}: {table_bytes:.0f} bytes exceed the {available} bytes "
+            f"{gpu.name} holds beside its {gpu_reserve}-byte reserve"
+        )
 
 
 @dataclass(frozen=True)
@@ -40,7 +65,7 @@ def decide_placement(
     hash_table_bytes: int,
     gpu_name: str = "gpu0",
     fast_cpu: bool = True,
-    gpu_reserve: int = 512 * MIB,
+    gpu_reserve: int = DEFAULT_GPU_RESERVE,
 ) -> PlacementDecision:
     """Walk the Figure 11 tree for one join.
 

@@ -17,8 +17,9 @@ see :func:`repro.faults.recovery.plan_assignment`.)
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import DefaultDict, List, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -54,6 +55,8 @@ class MorselDispatcher:
         self._cursor = 0
         self._lock = threading.Lock()
         self.dispatched: List[Tuple[str, WorkRange]] = []
+        #: running per-worker sums of ``dispatched``, kept with it.
+        self._tuples: DefaultDict[str, int] = defaultdict(int)
 
     @property
     def remaining(self) -> int:
@@ -90,6 +93,7 @@ class MorselDispatcher:
             self._cursor = end
             work = WorkRange(start=start, end=end)
             self.dispatched.append((worker, work))
+            self._tuples[worker] += work.tuples
         if self.metrics is not None:
             granted = -(-work.tuples // self.morsel_tuples)
             self.metrics.counter(
@@ -103,4 +107,4 @@ class MorselDispatcher:
     def dispatched_tuples(self, worker: str) -> int:
         """Total tuples handed to one worker so far."""
         with self._lock:
-            return sum(w.tuples for name, w in self.dispatched if name == worker)
+            return self._tuples.get(worker, 0)

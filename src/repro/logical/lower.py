@@ -35,6 +35,7 @@ from repro.costmodel.access import (
 )
 from repro.costmodel.model import CostModel, PhaseCost
 from repro.core.hashtable.placement import HashTablePlacement
+from repro.core.placement import require_replica_fits
 from repro.data.relation import Relation
 from repro.hardware.cache import HotSetProfile
 from repro.hardware.memory import MemoryKind
@@ -52,7 +53,6 @@ from repro.logical.algebra import (
     Scan,
 )
 from repro.logical.stats import JoinStats, ScanStats, StarStats, TableProfile
-from repro.memory.allocator import OutOfMemoryError
 from repro.plan import (
     MorselWorker,
     PhaseSpec,
@@ -676,19 +676,18 @@ def coop_build_phase(
 
     # gpu+het: the GPU builds locally, then broadcasts the table.
     # Every worker holds a private copy, so the table must fit the
-    # smallest GPU memory (this is the "small build-side relations"
-    # special case of Section 6.2).
+    # smallest GPU memory beside the reserve (this is the "small
+    # build-side relations" special case of Section 6.2).
     gpus = [w for w in workers if is_gpu(machine, w)]
     if not gpus:
         raise LogicalError("gpu+het requires at least one GPU worker")
     for worker in gpus:
-        capacity = machine.processor(worker).local_memory.capacity
-        if table_bytes > capacity:
-            raise OutOfMemoryError(
-                f"gpu+het replicates the {table_bytes}-byte hash table "
-                f"to every processor, but it exceeds {worker}'s memory; "
-                "use the Het strategy for large build sides"
-            )
+        require_replica_fits(
+            machine.processor(worker),
+            table_bytes,
+            "gpu+het replicates the hash table to every processor "
+            "(use the Het strategy for large build sides)",
+        )
     builder = gpus[0]
     tables = {w: _local_table(machine, w, table_bytes) for w in workers}
     profile = _coop_build_profile(

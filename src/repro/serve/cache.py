@@ -6,10 +6,13 @@ dominates the cost of serving a request whose *answer* is already
 known: the registry workloads are deterministic, so two requests for
 the same workload on the same machine compile to the same plan and
 price to the same phases.  The cache stores the whole solo-priced
-artifact — phases, solo makespan, modeled bytes, and the per-query
-manifest base — and the service deep-copies manifests out of it, so a
-cache hit is observably identical to a fresh pricing (the isolation
-tests pin this).
+artifact — phases, solo makespan, modeled bytes, and the solo
+manifest — once per fingerprint.  Every query served from an entry
+shares that one solo manifest: a query's manifest is a read-only view
+merging it with the query's own ``serving`` section
+(:meth:`PlanCacheEntry.manifest_copy`), so a cache hit is observably
+identical to a fresh pricing (the isolation tests pin this) without
+copying the spans, metrics and optimizer candidates per request.
 
 Hit/miss counters are exposed via :meth:`PlanCache.stats` and surface
 in the serving benchmark's results section.
@@ -17,7 +20,6 @@ in the serving benchmark's results section.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -37,11 +39,20 @@ class PlanCacheEntry:
     phases: List[PhaseCost]
     solo_seconds: float
     modeled_bytes: float
-    #: solo manifest dict (no ``serving`` section); deep-copied on use.
+    #: solo manifest dict, its ``serving`` key None.  Built once on a
+    #: miss and shared by every query served from this entry, so it is
+    #: never mutated after :meth:`PlanCache.put`.
     manifest: Dict[str, Any] = field(default_factory=dict)
 
-    def manifest_copy(self) -> Dict[str, Any]:
-        return copy.deepcopy(self.manifest)
+    def manifest_copy(self, serving: Dict[str, Any]) -> Dict[str, Any]:
+        """The solo manifest with ``serving`` as its serving section.
+
+        The top-level dict is new; every other section is the shared
+        one, read-only by contract.  Assigning a top-level key of the
+        result does not reach the cache; mutating a nested section
+        would reach every query served from this entry.
+        """
+        return {**self.manifest, "serving": serving}
 
 
 class PlanCache:

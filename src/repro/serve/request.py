@@ -11,7 +11,11 @@ resilience layer decided (finished / deadline-exceeded / failed), and a
 per-query schema-versioned manifest whose ``serving`` section
 (:meth:`ServingRecord.section`) records how the shared machine treated
 this query — arrival-to-finish latency, solo seconds, stretch, retries,
-cancellation time, and the workload's circuit-breaker state.
+cancellation time, and the workload's circuit-breaker state.  That
+manifest is a read-only view: every query priced from the same cache
+entry shares one solo manifest, and :attr:`ServedQuery.manifest`
+merges it with the query's ``serving`` section each time it is read,
+so mutating a returned manifest does not persist.
 
 Requests turned away *before* running land in two typed buckets:
 :class:`Rejection` (admission quota or open breaker) and
@@ -28,6 +32,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.costmodel.model import PhaseCost
 
+from repro.serve.cache import PlanCacheEntry
 from repro.serve.policy import (
     OUTCOME_DEADLINE,
     OUTCOME_FAILED,
@@ -158,9 +163,9 @@ class ServedQuery:
     #: dependency-aware solo makespan (contention-free latency).
     solo_seconds: float
     cache_hit: bool = False
-    #: the solo manifest dict (no ``serving`` section yet); the service
-    #: deep-copies it and stamps the serving record in after scheduling.
-    manifest: Dict[str, Any] = field(default_factory=dict)
+    #: the plan-cache entry this query was priced from; its solo
+    #: manifest is shared with every other query served from it.
+    priced: Optional[PlanCacheEntry] = None
     #: filled by the scheduler (virtual seconds).  ``finish`` is the
     #: time the query *terminated* — completion, cancellation, or
     #: failure; ``outcome`` says which.
@@ -178,6 +183,19 @@ class ServedQuery:
     @property
     def latency(self) -> float:
         return self.finish - self.request.arrival
+
+    @property
+    def manifest(self) -> Dict[str, Any]:
+        """Solo manifest plus this query's ``serving`` section.
+
+        Built on each read, so mutating the result does not persist;
+        its nested sections are the cache entry's, shared and read-only.
+        A query priced outside the cache has only the serving section.
+        """
+        serving = self.serving_record().section()
+        if self.priced is None:
+            return {"serving": serving}
+        return self.priced.manifest_copy(serving)
 
     def serving_record(self) -> ServingRecord:
         """This query's ``serving`` manifest-section record."""

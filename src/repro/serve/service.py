@@ -28,12 +28,13 @@
    queries (resubmitted with the policy's capped virtual-time backoff)
    or degrade link capacity mid-serving, and overload beyond the
    policy's bounds is load-shed with typed reasons;
-5. **stamps** each terminated query's manifest with a schema-versioned
-   ``serving`` section (arrival, start, finish, latency, stretch,
-   cache hit, outcome, deadline, cancellation time, retries, breaker
-   state) and returns everything as a
-   :class:`~repro.serve.request.ServingReport`, then audits that every
-   admission share returned exactly to zero.
+5. **returns** everything as a
+   :class:`~repro.serve.request.ServingReport`, after auditing that
+   every admission share returned exactly to zero.  Each terminated
+   query's manifest is its cache entry's shared solo manifest plus a
+   schema-versioned ``serving`` section (arrival, start, finish,
+   latency, stretch, cache hit, outcome, deadline, cancellation time,
+   retries, breaker state), merged when the manifest is read.
 
 ``submit()`` is thread-safe (a lock guards the request log); the serve
 pass itself is deterministic and single-threaded — virtual time, not
@@ -253,7 +254,7 @@ class QueryService:
                     phases=list(entry.phases),
                     solo_seconds=entry.solo_seconds,
                     cache_hit=hit,
-                    manifest=entry.manifest_copy(),
+                    priced=entry,
                 )
             )
 
@@ -379,10 +380,6 @@ class QueryService:
                 detail=shed.detail,
                 at=shed.at,
             )
-        for query in (
-            outcome.finished + outcome.deadline_exceeded + outcome.failed
-        ):
-            query.manifest["serving"] = query.serving_record().section()
         # Drain invariant: every admission share is back to exactly zero
         # no matter how each query terminated.
         self.admission.audit()

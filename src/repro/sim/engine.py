@@ -13,7 +13,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Set
+from typing import Callable, List, Optional, Set, Tuple
 
 from repro.obs.trace import Tracer
 
@@ -40,9 +40,6 @@ class Event:
     seq: int
     callback: Callable[["Simulator"], None]
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
 
 class Simulator:
     """Event loop with a virtual clock.
@@ -59,7 +56,9 @@ class Simulator:
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.now = 0.0
         self.tracer = tracer
-        self._queue: List[Event] = []
+        #: heap of ``(time, seq, event)``: ordered by a C tuple compare
+        #: that never reaches the event, because every seq is unique.
+        self._queue: List[Tuple[float, int, Event]] = []
         self._seq = itertools.count()
         self._fired = 0
         self._running = False
@@ -76,7 +75,7 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past: delay={delay}")
         event = Event(time=self.now + delay, seq=next(self._seq), callback=callback)
-        heapq.heappush(self._queue, event)
+        heapq.heappush(self._queue, (event.time, event.seq, event))
         self._live.add(event.seq)
         return event
 
@@ -117,9 +116,9 @@ class Simulator:
 
     def _purge_cancelled(self) -> None:
         """Drop cancelled events sitting at the heap head."""
-        while self._queue and self._queue[0].seq in self._cancelled:
-            dead = heapq.heappop(self._queue)
-            self._cancelled.discard(dead.seq)
+        while self._queue and self._queue[0][1] in self._cancelled:
+            _time, seq, _event = heapq.heappop(self._queue)
+            self._cancelled.discard(seq)
 
     @property
     def pending(self) -> int:
@@ -130,7 +129,7 @@ class Simulator:
         self._purge_cancelled()
         if not self._queue:
             return False
-        event = heapq.heappop(self._queue)
+        _time, _seq, event = heapq.heappop(self._queue)
         self._live.discard(event.seq)
         if event.time < self.now:
             raise SimulationError("event queue corrupted: time went backwards")
@@ -163,7 +162,7 @@ class Simulator:
                 self._purge_cancelled()
                 if not self._queue:
                     break
-                if until is not None and self._queue[0].time > until:
+                if until is not None and self._queue[0][0] > until:
                     break
                 self.step()
             if until is not None and until > self.now:

@@ -1,4 +1,4 @@
-"""Plan cache: fingerprints, hit/miss metrics, copy isolation."""
+"""Plan cache: fingerprints, hit/miss metrics, shared-manifest views."""
 
 from repro.costmodel.model import PhaseCost
 from repro.serve.cache import (
@@ -21,7 +21,11 @@ def _entry(fingerprint="join-b@ibm-ac922", seconds=1.0):
         ],
         solo_seconds=seconds,
         modeled_bytes=1024.0,
-        manifest={"kind": f"serve[{fingerprint}]", "results": {"a": 1}},
+        manifest={
+            "kind": f"serve[{fingerprint}]",
+            "results": {"a": 1},
+            "serving": None,
+        },
     )
 
 
@@ -80,13 +84,27 @@ class TestCapacity:
 
 class TestIsolation:
     def test_manifest_copy_is_independent(self):
+        """Top-level dicts are per call; nested sections are shared."""
         cache = PlanCache()
         cache.put(_entry())
         entry = cache.get("join-b@ibm-ac922")
-        first = entry.manifest_copy()
-        first["results"]["a"] = 999
-        second = entry.manifest_copy()
-        assert second["results"]["a"] == 1
+        first = entry.manifest_copy({"request_id": 0})
+        second = entry.manifest_copy({"request_id": 1})
+        assert first is not second and first is not entry.manifest
+        assert first["serving"] == {"request_id": 0}
+        assert second["serving"] == {"request_id": 1}
+        first["kind"] = "mutated"
+        first["results"] = {"a": 999}
+        assert second["kind"] == entry.manifest["kind"]
+        assert entry.manifest["results"] == {"a": 1}
+        assert entry.manifest["serving"] is None
+        # Nested sections are the entry's own (read-only by contract).
+        assert second["results"] is entry.manifest["results"]
+
+    def test_manifest_copy_keeps_key_order(self):
+        entry = _entry()
+        merged = entry.manifest_copy({"request_id": 0})
+        assert list(merged) == list(entry.manifest)
 
     def test_fingerprint_format(self):
         assert workload_fingerprint("q6", "ibm-ac922") == "q6@ibm-ac922"
